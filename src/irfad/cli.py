@@ -103,7 +103,7 @@ def _load_net(cfg: RunConfig):
     return load_checkpoint(cfg.checkpoint, schedule), schedule
 
 
-def _train_config(cfg: RunConfig, dataset_id: str) -> TrainConfig:
+def _train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
@@ -113,7 +113,6 @@ def _train_config(cfg: RunConfig, dataset_id: str) -> TrainConfig:
         beta2=cfg.adam_beta2,
         eps=cfg.adam_eps,
         seed=cfg.seed,
-        dataset_id=dataset_id,
     )
 
 
@@ -194,7 +193,7 @@ def cmd_train(cfg: RunConfig) -> int:
     schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
     d = int(np.prod(train_ds.sample_shape))
     net = NoisePredictor.create(d, cfg.hidden, cfg.embed_dim, schedule, cfg.seed)
-    net, log = train(net, train_ds, schedule, _train_config(cfg, cfg.data))
+    net, log = train(net, train_ds, schedule, _train_config(cfg))
     ckpt_path = os.path.join(cfg.out, "checkpoint.bin")
     save_checkpoint(net, ckpt_path)
     rows = [
@@ -285,7 +284,7 @@ def cmd_toy(cfg: RunConfig) -> int:
     train_ds, test_ds = gen_toy(cfg.seed)
     schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
     net = NoisePredictor.create(1, cfg.hidden, cfg.embed_dim, schedule, cfg.seed)
-    net, log = train(net, train_ds, schedule, _train_config(cfg, "toy"))
+    net, log = train(net, train_ds, schedule, _train_config(cfg))
     save_checkpoint(net, os.path.join(cfg.out, "checkpoint.bin"))
     rows = [
         [epoch + 1, _fmt(loss), _fmt(secs)]

@@ -17,7 +17,7 @@ Two generators, both deterministic functions of a seed:
 On-disk layout of one split directory (documented bit-exactly):
   manifest          key=value text: format_version, role, count, shape,
                     mask_shape (when annotated), prov.* provenance entries
-  samples.bin       count * prod(shape) float64, little-endian, row-major
+  samples.bin       count * prod(shape) finite float64, little-endian, row-major
   labels.bin        count bytes, 0 = normal, 1 = abnormal
   masks/masks.bin   count * H * W bytes (only when pixel-annotated)
 """
@@ -266,6 +266,8 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     n_entries = count * int(np.prod(shape))
     samples = np.frombuffer(read_exact("samples.bin", n_entries * 8), dtype="<f8")
     samples = samples.reshape((count,) + shape).copy()
+    if not np.all(np.isfinite(samples)):
+        raise DataError(f"samples.bin in {path} holds non-finite values")
     labels = np.frombuffer(read_exact("labels.bin", count), dtype=np.uint8).copy()
     masks = None
     if has_masks:

@@ -5,6 +5,11 @@ noise vector of the same dimension as x. The step enters through a fixed
 sinusoidal embedding concatenated to x; since the embedding carries no
 parameters, the concatenation happens outside the autodiff graph.
 
+Inference has one entry point, `predict_noise`. Every row of a call shares
+one step t, so layer 0's product with the embedding columns is the same
+for all rows: it is folded into the layer-0 bias once per (net, t), and the
+kernel multiplies x by the first d rows of W0 only.
+
 The output layer is zero-initialized so a fresh network predicts zero
 noise; hidden layers use variance-scaled Gaussian init.
 """
@@ -14,11 +19,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     CheckpointVersionError,
@@ -92,7 +97,8 @@ class NoisePredictor:
     """MLP noise predictor; immutable at inference time.
 
     Parameters are stored as [W0, b0, W1, b1, ..., Wout, bout] with
-    Wk of shape (fan_in, fan_out). Only the trainer mutates them.
+    Wk of shape (fan_in, fan_out). Only the trainer mutates them, in place
+    on a fresh copy that has served no inference yet.
     """
 
     def __init__(self, spec: NetSpec, params: list[np.ndarray]):
@@ -102,6 +108,16 @@ class NoisePredictor:
             raise ShapeError(f"parameter shapes {got} != expected {expected}")
         self.spec = spec
         self.params = params
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        return self._params
+
+    @params.setter
+    def params(self, params: list[np.ndarray]) -> None:
+        self._params = params
+        # step -> read-only folded layer-0 bias, filled by folded_bias
+        self._folded: dict[int, np.ndarray] = {}
 
     @staticmethod
     def layer_shapes(spec: NetSpec) -> list[tuple[tuple[int, int], tuple[int]]]:
@@ -148,14 +164,49 @@ class NoisePredictor:
 
     # -- forward passes ---------------------------------------------------
 
-    def forward_features(self, x2: np.ndarray) -> np.ndarray:
-        """Fast inference path on pre-concatenated [x, emb] rows."""
-        h = x2
-        n_layers = len(self.params) // 2
-        for i in range(n_layers - 1):
-            h = h @ self.params[2 * i] + self.params[2 * i + 1]
-            h = h * expit(h)
-        return h @ self.params[-2] + self.params[-1]
+    def folded_bias(self, t) -> np.ndarray:
+        """Layer-0 bias with step t's embedding folded in: b0 + emb(t) @ W0[d:].
+
+        t must be one integer in [1, T]. Computed once per step and kept
+        read-only, since every caller shares it.
+        """
+        try:
+            step = None if isinstance(t, bool) else operator.index(t)
+        except TypeError:
+            step = None
+        if step is None:
+            raise ParameterError(f"step index must be one integer, got {t!r}")
+        if not 1 <= step <= self.spec.T:
+            raise ParameterError(f"step index {step} outside [1, {self.spec.T}]")
+        bias = self._folded.get(step)
+        if bias is None:
+            emb = time_embedding(step, self.spec.m)
+            bias = self.params[1] + emb @ self.params[0][self.spec.d :]
+            bias.flags.writeable = False
+            self._folded[step] = bias
+        return bias
+
+    def forward_features(self, x: np.ndarray, *, bias0: np.ndarray) -> np.ndarray:
+        """Inference forward of (n, d) rows, given layer 0's folded bias.
+
+        Layer 0 reads the d input columns only; the step embedding's share
+        of the pre-activation is already in `bias0` (see `folded_bias`).
+        SiLU runs in place as h / (1 + exp(-h)): a pre-activation below
+        about -709 overflows exp to inf and gives exactly 0, so that
+        overflow is silenced.
+        """
+        params = self.params
+        h = x @ params[0][: self.spec.d]
+        h += bias0
+        for w, b in zip(params[2::2], params[3::2]):
+            denom = np.negative(h)
+            with np.errstate(over="ignore"):
+                np.exp(denom, out=denom)
+            denom += 1.0
+            h /= denom
+            h = h @ w
+            h += b
+        return h
 
     def forward_tape(self, tape: Tape, x2_node: Node, param_nodes: list[Node]) -> Node:
         """Same computation recorded on a tape for training."""
@@ -172,10 +223,12 @@ def predict_noise(
     t,
     counter: EvalCounter | None = None,
 ) -> np.ndarray:
-    """Evaluate the noise predictor at (x, t).
+    """Evaluate the noise predictor at (x, t): the one inference path.
 
-    x may be a single vector of length d or a batch (n, d); t a scalar step
-    or a per-row step array. Pure function of (parameters, x, t).
+    x may be a single vector of length d or a batch (n, d); t is one
+    integer step in [1, T] shared by every row. Input is checked here and
+    nowhere else on the way to the kernel. Pure function of
+    (parameters, x, t).
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -184,15 +237,7 @@ def predict_noise(
         raise ShapeError(f"input shape {x.shape} incompatible with d={net.spec.d}")
     if not np.all(np.isfinite(xb)):
         raise NumericError("non-finite network input")
-    t_arr = np.asarray(t)
-    if np.any(t_arr < 1) or np.any(t_arr > net.spec.T):
-        raise ParameterError(f"step index {t} outside [1, {net.spec.T}]")
-    emb = time_embedding(t_arr, net.spec.m)
-    if emb.ndim == 1:
-        emb = np.broadcast_to(emb, (xb.shape[0], net.spec.m))
-    elif emb.shape[0] != xb.shape[0]:
-        raise ShapeError(f"t batch {emb.shape[0]} != x batch {xb.shape[0]}")
-    out = net.forward_features(np.concatenate([xb, emb], axis=1))
+    out = net.forward_features(xb, bias0=net.folded_bias(t))
     if counter is not None:
         counter.add(xb.shape[0])
     return out[0] if single else out

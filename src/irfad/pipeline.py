@@ -27,10 +27,17 @@ from .metrics import (
     f1_max,
     throughput,
 )
-from .net import EvalCounter, NoisePredictor, time_embedding
+from .net import EvalCounter, NoisePredictor, predict_noise
+from .net import time_embedding  # noqa: F401 -- unused; perfbench/spans.py wraps this binding
 from .rng import make_rng
 from .schedule import NoiseSchedule
-from .scoring import ComponentStats, ImageScore, bilinear_upsample
+from .scoring import (
+    ComponentStats,
+    ImageScore,
+    bilinear_upsample,
+    feature_scale_maps,
+    image_scores,
+)
 
 IRF_MEAN = "irf-mean"
 IRF_NOISY = "irf-noisy"
@@ -107,34 +114,22 @@ class Scorer:
             yield start, min(start + self.batch_size, n)
 
     def _score_irf(self, X, cshape, counter) -> ScoreTable:
-        c, h, w = cshape
         n = X.shape[0]
         abar = self.schedule.alpha_bar(self.t_infer)
-        emb = time_embedding(np.asarray(self.t_infer), self.net.spec.m)
         rng = (
             make_rng(self.noise_seed, "score-noisy")
             if self.kind == IRF_NOISY
             else None
         )
         deltas = np.empty((n,) + tuple(cshape))
-        s_diff = np.empty(n)
-        s_nll = np.empty(n)
         for start, stop in self._batches(n):
             xb = X[start:stop]
             state = np.sqrt(abar) * xb
             if rng is not None:
                 state = state + np.sqrt(1.0 - abar) * rng.standard_normal(xb.shape)
-            feats = np.concatenate(
-                [state, np.broadcast_to(emb, (xb.shape[0], emb.size))], axis=1
-            )
-            out = self.net.forward_features(feats)
-            if counter is not None:
-                counter.add(xb.shape[0])
-            fields = out.reshape(-1, c, h, w)
-            amap = np.sqrt(np.sum(fields * fields, axis=1))
-            s_diff[start:stop] = amap.max(axis=(1, 2)) - amap.min(axis=(1, 2))
-            s_nll[start:stop] = 0.5 * np.sum(out * out, axis=1)
-            deltas[start:stop] = fields
+            out = predict_noise(self.net, state, self.t_infer, counter)
+            deltas[start:stop] = out.reshape((-1,) + tuple(cshape))
+        s_diff, s_nll = image_scores(deltas)
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
 
     def _score_baseline(self, X, counter) -> ScoreTable:
@@ -165,9 +160,7 @@ def pixel_maps(table: ScoreTable, target: tuple[int, int]) -> np.ndarray:
     """Upsampled (n, H, W) score maps from the retained residual fields."""
     if table.deltas is None:
         raise ParameterError("pixel maps require a residual-field scorer")
-    fields = table.deltas
-    amaps = np.sqrt(np.sum(fields * fields, axis=1))
-    return bilinear_upsample(amaps, target[0], target[1])
+    return bilinear_upsample(feature_scale_maps(table.deltas), target[0], target[1])
 
 
 def normalized_scores(table: ScoreTable, calibration: ScoreTable) -> np.ndarray:

@@ -61,10 +61,6 @@ class NoiseSchedule:
         if t.size == 0 or np.any(t < 1) or np.any(t > self.T):
             raise ParameterError(f"step index {t} outside [1, {self.T}]")
 
-    def beta(self, t: int) -> float:
-        self.check_step(t)
-        return float(self.betas[t - 1])
-
     def alpha_bar(self, t):
         """abar_t for scalar or array t; abar_0 == 1 by convention."""
         t = np.asarray(t)

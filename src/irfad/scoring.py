@@ -79,10 +79,14 @@ def _check_field(delta: np.ndarray) -> np.ndarray:
     return delta
 
 
+def feature_scale_maps(fields: np.ndarray) -> np.ndarray:
+    """Channel-wise L2 norm at each location: (n, c, h, w) -> (n, h, w)."""
+    return np.sqrt(np.sum(fields * fields, axis=1))
+
+
 def feature_scale_map(delta: np.ndarray) -> np.ndarray:
     """Channel-wise L2 norm at each location: (c, h, w) -> (h, w)."""
-    delta = _check_field(delta)
-    return np.sqrt(np.sum(delta * delta, axis=0))
+    return feature_scale_maps(_check_field(delta)[None])[0]
 
 
 def score_map(delta: np.ndarray, target: tuple[int, int]) -> ScoreMap:
@@ -106,11 +110,21 @@ def image_score(delta: np.ndarray) -> ImageScore:
     0.5 * sum(delta^2) (the constant (c*h*w/2)*log(2*pi) is dropped so the
     score is non-negative and zero for a zero field).
     """
-    delta = _check_field(delta)
-    fmap = feature_scale_map(delta)
-    s_diff = float(fmap.max() - fmap.min())
-    s_nll = 0.5 * float(np.sum(delta * delta))
+    s_diff, s_nll = image_scores(_check_field(delta)[None])
+    s_diff, s_nll = float(s_diff[0]), float(s_nll[0])
     return ImageScore(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll)
+
+
+def image_scores(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-field (s_diff, s_nll) of an (n, c, h, w) stack; see image_score.
+
+    Each field's parts depend on that field alone, bit for bit, so a
+    batched table and per-sample scores agree exactly.
+    """
+    fmaps = feature_scale_maps(fields)
+    s_diff = fmaps.max(axis=(1, 2)) - fmaps.min(axis=(1, 2))
+    s_nll = 0.5 * np.sum((fields * fields).reshape(len(fields), -1), axis=1)
+    return s_diff, s_nll
 
 
 @dataclass(frozen=True)

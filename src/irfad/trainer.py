@@ -41,7 +41,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    dataset_id: str = ""
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from irfad.data import gen_toy, save_dataset
+from irfad.data import gen_toy, load_dataset, save_dataset
 
 
 def run_cli(*args, cwd=None):
@@ -156,6 +156,22 @@ def test_missing_dataset_exits_3(tmp_path):
     res = run_cli("train", "--config", cfg, "--out", str(tmp_path / "o"))
     assert res.returncode == 3
     assert res.stderr.strip().startswith("irfad: error: data:")
+
+
+def test_eval_on_nan_sample_exits_3(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    split = load_dataset(root / "data" / "test")
+    split.samples[5, 0, 0, 0] = np.nan
+    save_dataset(split, tmp_path / "nan-split")
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(tmp_path / "nan-split"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.strip().startswith("irfad: error: data:")
+    assert "non-finite" in res.stderr
 
 
 def test_gen_without_generator_exits_2(tmp_path):

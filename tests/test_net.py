@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irfad.errors import (
     CheckpointVersionError,
@@ -20,6 +24,7 @@ from irfad.net import (
 )
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
+from irfad.trainer import TrainConfig, train
 
 
 @pytest.fixture
@@ -53,13 +58,21 @@ def test_predict_deterministic(net):
     assert np.array_equal(predict_noise(rnet, x, 42), predict_noise(rnet, x, 42))
 
 
-def test_predict_batched_matches_single(net):
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 6),
+    t=st.integers(1, 1000),
+    seed=st.integers(0, 2**16),
+)
+def test_predict_batched_matches_single(n, d, t, seed):
     # BLAS picks different kernels per shape, so equality is to rounding only
-    rnet = randomized(net)
-    xs = make_rng(2, "test-batch").standard_normal((5, 3))
-    batched = predict_noise(rnet, xs, 17)
-    for i in range(5):
-        assert np.allclose(batched[i], predict_noise(rnet, xs[i], 17),
+    net = randomized(NoisePredictor.create(d, (16, 16), 8, linear_schedule(1000), seed=7))
+    xs = make_rng(seed, "test-batch").standard_normal((n, d))
+    batched = predict_noise(net, xs, t)
+    assert batched.shape == (n, d)
+    for i in range(n):
+        assert np.allclose(batched[i], predict_noise(net, xs[i], t),
                            rtol=1e-12, atol=1e-14)
 
 
@@ -80,15 +93,61 @@ def test_t_out_of_range(net):
         predict_noise(net, np.zeros(3), 0)
     with pytest.raises(ParameterError):
         predict_noise(net, np.zeros(3), 1001)
+    with pytest.raises(ParameterError):
+        predict_noise(net, np.zeros(3), 2.5)
+    with pytest.raises(ParameterError):
+        predict_noise(net, np.zeros(3), True)
+
+
+def tape_forward(net, x, t):
+    """The training forward on explicit [x, emb(t)] rows: the reference."""
+    feats = np.concatenate([x, np.broadcast_to(time_embedding(t, net.spec.m),
+                                               (x.shape[0], net.spec.m))], axis=1)
+    tape = Tape()
+    pnodes = [tape.leaf(p, param=True) for p in net.params]
+    return net.forward_tape(tape, tape.leaf(feats), pnodes).value
 
 
 def test_tape_forward_matches_fast_path(net):
+    # the folded bias reorders layer 0's sums, so agreement is to rounding
     rnet = randomized(net)
-    feats = make_rng(3, "test-tape").standard_normal((6, 3 + 8))
-    tape = Tape()
-    pnodes = [tape.leaf(p, param=True) for p in rnet.params]
-    out = rnet.forward_tape(tape, tape.leaf(feats), pnodes)
-    assert np.array_equal(out.value, rnet.forward_features(feats))
+    x = make_rng(3, "test-tape").standard_normal((6, 3))
+    for t in (1, 17, 1000):
+        diff = np.abs(tape_forward(rnet, x, t) - predict_noise(rnet, x, t))
+        assert diff.max() <= 1e-12
+
+
+def test_trained_net_does_not_reuse_folded_bias(net, schedule):
+    rnet = randomized(net)
+    x = make_rng(5, "test-stale").standard_normal((4, 3))
+    before = predict_noise(rnet, x, 10)
+    data = make_rng(6, "test-stale-data").standard_normal((16, 3))
+    trained, _ = train(rnet, data, schedule, TrainConfig(epochs=2, batch_size=8, seed=0))
+    after = predict_noise(trained, x, 10)
+    assert not np.allclose(after, before)
+    assert np.abs(after - tape_forward(trained, x, 10)).max() <= 1e-12
+    # the input net keeps serving its own parameters
+    assert np.array_equal(predict_noise(rnet, x, 10), before)
+
+
+def test_reassigned_params_drop_folded_bias(net):
+    rnet = randomized(net)
+    x = make_rng(7, "test-reassign").standard_normal((2, 3))
+    predict_noise(rnet, x, 10)
+    rnet.params = [p * 2.0 for p in rnet.params]
+    assert np.abs(tape_forward(rnet, x, 10) - predict_noise(rnet, x, 10)).max() <= 1e-12
+
+
+def test_silu_saturates_to_zero_without_warning(schedule):
+    net = NoisePredictor.create(1, (1,), 2, schedule, seed=0)
+    # hidden pre-activation -1000 for x = 1; the head reads the hidden unit
+    # with weight 1, so the output is SiLU(-1000)
+    net.params = [np.array([[-1000.0], [0.0], [0.0]]), np.zeros(1),
+                  np.ones((1, 1)), np.zeros(1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = predict_noise(net, np.ones(1), 1)
+    assert out[0] == 0.0
 
 
 # -- time embedding -----------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from irfad.data import gen_blobs
-from irfad.errors import ParameterError
+from irfad.errors import NumericError, ParameterError
 from irfad.net import EvalCounter, NoisePredictor
 from irfad.pipeline import (
     DDIM,
@@ -42,9 +42,20 @@ def test_irf_table_matches_per_sample_scores(setup):
     table = scorer(test_ds.samples)
     for i in range(len(test_ds)):
         sc = image_score(table.deltas[i])
-        assert table.s_diff[i] == pytest.approx(sc.s_diff, rel=1e-12, abs=1e-14)
-        assert table.s_nll[i] == pytest.approx(sc.s_nll, rel=1e-12, abs=1e-14)
+        assert table.s_diff[i] == sc.s_diff
+        assert table.s_nll[i] == sc.s_nll
         assert table.s[i] == table.s_diff[i] + table.s_nll[i]
+
+
+@pytest.mark.parametrize("kind", [IRF_MEAN, IRF_NOISY, RECON, DDIM])
+def test_nan_sample_rejected(setup, kind):
+    schedule, net, test_ds = setup
+    samples = test_ds.samples.copy()
+    samples[3, 1, 2, 0] = np.nan
+    scorer = Scorer(kind, net, schedule, t_infer=10, batch_size=3,
+                    recon_t_start=50, recon_steps=2, ddim_steps=2)
+    with pytest.raises(NumericError):
+        scorer(samples)
 
 
 def test_counter_tracks_per_scorer_cost(setup):
