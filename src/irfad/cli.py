@@ -2,9 +2,9 @@
 
 Subcommands: gen | train | score | eval | toy | bench. Flags --config,
 --seed, --t, --scorer, --out override config-file values (see config.py
-for precedence). Every run writes a `manifest` with the fully resolved
-configuration next to its artifacts, and all files are written atomically
-(write to a temp name, then rename).
+for precedence). `main` creates the output directory, and once the command
+succeeds writes a `manifest` with the fully resolved configuration next to
+its artifacts. All files are written atomically through `data.atomic_write`.
 
 Exit codes: 0 success, 2 config error, 3 data/artifact error,
 4 numeric or training error. Failures print one machine-parsable line:
@@ -21,16 +21,22 @@ import sys
 
 import numpy as np
 
-from . import baselines
 from .config import RunConfig, resolve_config
-from .data import Dataset, gen_blobs, gen_toy, load_dataset, save_dataset, BlobParams
+from .data import (
+    BlobParams,
+    Dataset,
+    atomic_write,
+    gen_blobs,
+    gen_toy,
+    load_dataset,
+    save_dataset,
+)
 from .errors import (
     CheckpointError,
     ConfigError,
     DataError,
     IrfadError,
     NumericError,
-    ParameterError,
 )
 from .irf import DEFAULT_T_INFER_FEATURES, DEFAULT_T_INFER_TOY
 from .metrics import EvalReport, auroc, average_precision, f1_max, throughput
@@ -50,21 +56,14 @@ from .schedule import linear_schedule
 from .trainer import TrainConfig, train
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+def _write_text(path: str, lines: list[str]) -> None:
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
     lines = [f"command={command}"]
     lines.extend(f"{key}={value}" for key, value in cfg.items())
-    _atomic_write_text(os.path.join(out_dir, "manifest"), "\n".join(lines) + "\n")
+    _write_text(os.path.join(out_dir, "manifest"), lines)
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -116,9 +115,9 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     )
 
 
-def _make_scorer(cfg: RunConfig, net, schedule, t_infer: int) -> Scorer:
+def _make_scorer(cfg: RunConfig, kind: str, net, schedule, t_infer: int) -> Scorer:
     return Scorer(
-        cfg.scorer,
+        kind,
         net,
         schedule,
         t_infer=t_infer,
@@ -145,28 +144,33 @@ def _write_score_maps(out_dir: str, maps: np.ndarray) -> None:
     maps_dir = os.path.join(out_dir, "maps")
     os.makedirs(maps_dir, exist_ok=True)
     n, H, W = maps.shape
-    _atomic_write_text(
+    _write_text(
         os.path.join(maps_dir, "maps.header"),
-        f"dtype=float64-le rows={H} cols={W} count={n}\n",
+        [f"dtype=float64-le rows={H} cols={W} count={n}"],
     )
     for i in range(n):
-        _atomic_write_bytes(
+        atomic_write(
             os.path.join(maps_dir, f"map_{i:05d}.bin"),
             np.ascontiguousarray(maps[i], "<f8").tobytes(),
         )
 
 
-def _print_report(report: EvalReport) -> None:
-    width = max(len(name) for name, _ in report.rows())
-    for name, value in report.rows():
+def _write_report(out_dir: str, report: EvalReport) -> None:
+    """eval.csv, then the same rows on stdout."""
+    rows = report.rows()
+    atomic_write(
+        os.path.join(out_dir, "eval.csv"),
+        _csv_bytes(["metric", "value"], [list(row) for row in rows]),
+    )
+    width = max(len(name) for name, _ in rows)
+    for name, value in rows:
         print(f"{name.ljust(width)}  {value}")
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
+def cmd_gen(cfg: RunConfig) -> None:
     if cfg.data == "toy":
         train_ds, test_ds = gen_toy(cfg.seed)
     elif cfg.data == "blobs":
@@ -182,54 +186,52 @@ def cmd_gen(cfg: RunConfig) -> int:
         raise ConfigError(f"gen needs data=toy or data=blobs, got {cfg.data!r}")
     save_dataset(train_ds, os.path.join(cfg.out, "train"))
     save_dataset(test_ds, os.path.join(cfg.out, "test"))
-    _write_manifest(cfg.out, "gen", cfg)
     print(f"wrote {len(train_ds)} train / {len(test_ds)} test samples to {cfg.out}")
-    return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    train_ds = _load_run_dataset(cfg.data)
-    schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
+def _train_and_save(cfg: RunConfig, train_ds: Dataset, schedule):
+    """Train a fresh net on `train_ds`; write checkpoint.bin and trainlog.csv."""
     d = int(np.prod(train_ds.sample_shape))
     net = NoisePredictor.create(d, cfg.hidden, cfg.embed_dim, schedule, cfg.seed)
     net, log = train(net, train_ds, schedule, _train_config(cfg))
-    ckpt_path = os.path.join(cfg.out, "checkpoint.bin")
-    save_checkpoint(net, ckpt_path)
+    save_checkpoint(net, os.path.join(cfg.out, "checkpoint.bin"))
     rows = [
         [epoch + 1, _fmt(loss), _fmt(secs)]
         for epoch, (loss, secs) in enumerate(zip(log.epoch_losses, log.epoch_seconds))
     ]
-    _atomic_write_bytes(
+    atomic_write(
         os.path.join(cfg.out, "trainlog.csv"),
         _csv_bytes(["epoch", "mean_loss", "seconds"], rows),
     )
-    _write_manifest(cfg.out, "train", cfg)
+    return net, log
+
+
+def cmd_train(cfg: RunConfig) -> None:
+    train_ds = _load_run_dataset(cfg.data)
+    schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
+    _, log = _train_and_save(cfg, train_ds, schedule)
+    ckpt_path = os.path.join(cfg.out, "checkpoint.bin")
     print(f"final loss {log.final_loss:.6f}; checkpoint at {ckpt_path}")
-    return 0
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
+def cmd_score(cfg: RunConfig) -> None:
     net, schedule = _load_net(cfg)
     dataset = _load_run_dataset(cfg.data)
     t_infer = _resolve_t(cfg, toy=len(dataset.sample_shape) == 1)
-    scorer = _make_scorer(cfg, net, schedule, t_infer)
+    scorer = _make_scorer(cfg, cfg.scorer, net, schedule, t_infer)
     table = scorer(dataset.samples)
     if cfg.normalize_scores:
         normal = dataset.labels == 0
         calib = scorer(dataset.samples[normal])
         table.s = normalized_scores(table, calib)
-    _atomic_write_bytes(
+    atomic_write(
         os.path.join(cfg.out, "scores.csv"),
         _csv_bytes(["id", "s", "s_diff", "s_nll"], _scores_rows(table)),
     )
     if cfg.save_maps and table.deltas is not None:
         maps = pixel_maps(table, (cfg.up_height, cfg.up_width))
         _write_score_maps(cfg.out, maps)
-    _write_manifest(cfg.out, "score", cfg)
     print(f"scored {table.s.size} samples with {cfg.scorer} at t={t_infer}")
-    return 0
 
 
 def _read_scores_csv(path: str) -> np.ndarray:
@@ -240,13 +242,15 @@ def _read_scores_csv(path: str) -> np.ndarray:
         if reader.fieldnames is None or "s" not in reader.fieldnames:
             raise DataError(f"{path}: missing 's' column")
         try:
-            return np.array([float(row["s"]) for row in reader])
+            scores = np.array([float(row["s"]) for row in reader])
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad score value ({exc})") from exc
+    if not np.all(np.isfinite(scores)):
+        raise DataError(f"{path}: non-finite score values")
+    return scores
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
+def cmd_eval(cfg: RunConfig) -> None:
     dataset = _load_run_dataset(cfg.data)
     if cfg.scores_csv:
         scores = _read_scores_csv(cfg.scores_csv)
@@ -262,55 +266,29 @@ def cmd_eval(cfg: RunConfig) -> int:
     else:
         net, schedule = _load_net(cfg)
         t_infer = _resolve_t(cfg, toy=len(dataset.sample_shape) == 1)
-        scorer = _make_scorer(cfg, net, schedule, t_infer)
+        scorer = _make_scorer(cfg, cfg.scorer, net, schedule, t_infer)
         report, _ = evaluate_scorer(
             scorer,
             dataset,
             fpr_limit=cfg.fpr_limit,
             upsample_to=(cfg.up_height, cfg.up_width) if dataset.masks is not None else None,
         )
-    _atomic_write_bytes(
-        os.path.join(cfg.out, "eval.csv"),
-        _csv_bytes(["metric", "value"], [[k, v] for k, v in report.rows()]),
-    )
-    _write_manifest(cfg.out, "eval", cfg)
-    _print_report(report)
-    return 0
+    _write_report(cfg.out, report)
 
 
-def cmd_toy(cfg: RunConfig) -> int:
+def cmd_toy(cfg: RunConfig) -> None:
     """End-to-end 1-D pipeline: generate, train, score, report."""
-    os.makedirs(cfg.out, exist_ok=True)
     train_ds, test_ds = gen_toy(cfg.seed)
     schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
-    net = NoisePredictor.create(1, cfg.hidden, cfg.embed_dim, schedule, cfg.seed)
-    net, log = train(net, train_ds, schedule, _train_config(cfg))
-    save_checkpoint(net, os.path.join(cfg.out, "checkpoint.bin"))
-    rows = [
-        [epoch + 1, _fmt(loss), _fmt(secs)]
-        for epoch, (loss, secs) in enumerate(zip(log.epoch_losses, log.epoch_seconds))
-    ]
-    _atomic_write_bytes(
-        os.path.join(cfg.out, "trainlog.csv"),
-        _csv_bytes(["epoch", "mean_loss", "seconds"], rows),
-    )
+    net, _ = _train_and_save(cfg, train_ds, schedule)
 
     t_infer = _resolve_t(cfg, toy=True)
-    mean_scorer = Scorer(
-        IRF_MEAN, net, schedule, t_infer=t_infer, batch_size=cfg.infer_batch
-    )
-    noisy_scorer = Scorer(
-        IRF_NOISY,
-        net,
-        schedule,
-        t_infer=t_infer,
-        batch_size=cfg.infer_batch,
-        noise_seed=cfg.seed,
-    )
+    mean_scorer = _make_scorer(cfg, IRF_MEAN, net, schedule, t_infer)
+    noisy_scorer = _make_scorer(cfg, IRF_NOISY, net, schedule, t_infer)
     report, mean_table = evaluate_scorer(mean_scorer, test_ds)
     noisy_table = noisy_scorer(test_ds.samples)
 
-    _atomic_write_bytes(
+    atomic_write(
         os.path.join(cfg.out, "scores.csv"),
         _csv_bytes(["id", "s", "s_diff", "s_nll"], _scores_rows(mean_table)),
     )
@@ -322,37 +300,18 @@ def cmd_toy(cfg: RunConfig) -> int:
             lines.append(
                 f"{_fmt(x0s[i])}\t{_fmt(amps[i])}\t{int(test_ds.labels[i])}\t{kind}"
             )
-    _atomic_write_text(
-        os.path.join(cfg.out, "trajectories.tsv"), "\n".join(lines) + "\n"
-    )
-    _atomic_write_bytes(
-        os.path.join(cfg.out, "eval.csv"),
-        _csv_bytes(["metric", "value"], [[k, v] for k, v in report.rows()]),
-    )
-    _write_manifest(cfg.out, "toy", cfg)
-    _print_report(report)
-    return 0
+    _write_text(os.path.join(cfg.out, "trajectories.tsv"), lines)
+    _write_report(cfg.out, report)
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(cfg: RunConfig) -> None:
     """Compare scorer accuracy and speed on one dataset."""
-    os.makedirs(cfg.out, exist_ok=True)
     net, schedule = _load_net(cfg)
     dataset = _load_run_dataset(cfg.data)
     t_infer = _resolve_t(cfg, toy=len(dataset.sample_shape) == 1)
     rows = []
     for kind in (IRF_MEAN, RECON, DDIM):
-        scorer = Scorer(
-            kind,
-            net,
-            schedule,
-            t_infer=t_infer,
-            batch_size=cfg.infer_batch,
-            noise_seed=cfg.seed,
-            recon_t_start=cfg.recon_t_start,
-            recon_steps=cfg.recon_steps,
-            ddim_steps=cfg.ddim_steps,
-        )
+        scorer = _make_scorer(cfg, kind, net, schedule, t_infer)
         table = scorer(dataset.samples)
         rate, nfe = throughput(scorer, dataset.samples, repeats=cfg.bench_repeats)
         rows.append(
@@ -366,12 +325,10 @@ def cmd_bench(cfg: RunConfig) -> int:
             ]
         )
         print(f"{kind}: nfe={nfe} rate={rate:.1f}/s")
-    _atomic_write_bytes(
+    atomic_write(
         os.path.join(cfg.out, "bench.csv"),
         _csv_bytes(["scorer", "auroc", "ap", "f1_max", "nfe", "samples_per_sec"], rows),
     )
-    _write_manifest(cfg.out, "bench", cfg)
-    return 0
 
 
 # -- entry point --------------------------------------------------------------
@@ -409,7 +366,10 @@ def main(argv=None) -> int:
             args.config,
             {"seed": args.seed, "t_infer": args.t, "scorer": args.scorer, "out": args.out},
         )
-        return _COMMANDS[args.command](cfg)
+        os.makedirs(cfg.out, exist_ok=True)
+        _COMMANDS[args.command](cfg)
+        _write_manifest(cfg.out, args.command, cfg)
+        return 0
     except ConfigError as exc:
         print(f"irfad: error: config: {exc}", file=sys.stderr)
         return 2

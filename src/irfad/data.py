@@ -19,7 +19,7 @@ On-disk layout of one split directory (documented bit-exactly):
                     mask_shape (when annotated), prov.* provenance entries
   samples.bin       count * prod(shape) finite float64, little-endian, row-major
   labels.bin        count bytes, 0 = normal, 1 = abnormal
-  masks/masks.bin   count * H * W bytes (only when pixel-annotated)
+  masks/masks.bin   count * H * W bytes of 0 or 1 (only when pixel-annotated)
 """
 
 from __future__ import annotations
@@ -59,12 +59,16 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if self.labels.shape != (self.samples.shape[0],):
             raise DataError("labels must be one per sample")
+        if np.any(self.labels > ABNORMAL):
+            raise DataError("labels must be 0 (normal) or 1 (abnormal)")
         if self.role == "train" and np.any(self.labels != NORMAL):
             raise DataError("train split contains abnormal samples")
         if self.masks is not None:
             self.masks = np.asarray(self.masks, dtype=np.uint8)
             if self.masks.ndim != 3 or self.masks.shape[0] != self.samples.shape[0]:
                 raise DataError("masks must be (n, H, W), one per sample")
+            if np.any(self.masks > 1):
+                raise DataError("masks must be binary")
             abnormal = self.labels == ABNORMAL
             if abnormal.any() and np.any(
                 self.masks[abnormal].sum(axis=(1, 2)) == 0
@@ -195,6 +199,18 @@ def gen_blobs(
 # -- disk round trip --------------------------------------------------------
 
 
+def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
+    """Write `payload` to `<path>.tmp`, then rename it over `path`.
+
+    A reader sees the old file or the whole new one, never a partial write.
+    Every file irfad writes goes through here.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(payload)
+    os.replace(tmp, path)
+
+
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
@@ -209,20 +225,14 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
         lines.append(f"mask_shape={dataset.masks.shape[1]},{dataset.masks.shape[2]}")
     for key, value in sorted(dataset.provenance.items()):
         lines.append(f"prov.{key}={value}")
-
-    def atomic_write(name: str, payload: bytes):
-        target = os.path.join(path, name)
-        tmp = target + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, target)
-
-    atomic_write("samples.bin", np.ascontiguousarray(dataset.samples, "<f8").tobytes())
-    atomic_write("labels.bin", dataset.labels.tobytes())
+    samples = np.ascontiguousarray(dataset.samples, "<f8").tobytes()
+    atomic_write(os.path.join(path, "samples.bin"), samples)
+    atomic_write(os.path.join(path, "labels.bin"), dataset.labels.tobytes())
     if dataset.masks is not None:
         os.makedirs(os.path.join(path, "masks"), exist_ok=True)
-        atomic_write(os.path.join("masks", "masks.bin"), dataset.masks.tobytes())
-    atomic_write("manifest", ("\n".join(lines) + "\n").encode("utf-8"))
+        atomic_write(os.path.join(path, "masks", "masks.bin"), dataset.masks.tobytes())
+    manifest = "\n".join(lines) + "\n"
+    atomic_write(os.path.join(path, "manifest"), manifest.encode("utf-8"))
 
 
 def _parse_manifest(path: str) -> dict:

@@ -3,8 +3,13 @@
 Just enough autodiff to train the noise-prediction MLP: a tape is built
 per training step (define-by-run, so creation order is already a
 topological order), `backward` walks it once in reverse, and the only ops
-provided are the ones the network needs. No broadcasting beyond the
-bias-add inside `affine`, no convolutions, no GPU.
+provided are the three the network needs: `affine`, `silu` and
+`mean_squared_error`. No broadcasting beyond the bias-add inside `affine`,
+no convolutions, no GPU.
+
+A node needs a gradient when it is a parameter or was computed from one;
+gradients are never formed for the rest (the network input and the
+regression target), so layer 0 skips its input gradient.
 
 Numpy ndarrays are the tensor carrier (row-major float64); finiteness is
 enforced at graph boundaries (`leaf`), interior ops trust their inputs.
@@ -21,23 +26,19 @@ from .errors import ContractError, NumericError, ShapeError
 
 
 class Node:
-    """One tape entry: an op, its value, and the ids of its inputs."""
+    """One tape entry: its value, the ids of its inputs, and its backward."""
 
-    __slots__ = ("id", "op", "value", "parents", "backward_fn", "is_param")
+    __slots__ = ("id", "value", "parents", "backward_fn", "is_param", "needs_grad")
 
-    def __init__(self, id, op, value, parents, backward_fn, is_param=False):
+    def __init__(self, id, value, parents, backward_fn, is_param, needs_grad):
         self.id = id
-        self.op = op
         self.value = value
         self.parents = parents
-        # backward_fn(grad_out) -> per-parent gradient arrays, aligned with parents
+        # backward_fn(grad_out) -> per-parent gradient arrays, aligned with
+        # parents; None for a parent that needs no gradient
         self.backward_fn: Callable | None = backward_fn
         self.is_param = is_param
-
-
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
+        self.needs_grad = needs_grad
 
 
 class Tape:
@@ -46,41 +47,19 @@ class Tape:
     def __init__(self):
         self._nodes: list[Node] = []
 
-    def _record(self, op, value, parents, backward_fn, is_param=False) -> Node:
-        node = Node(len(self._nodes), op, value, tuple(p.id for p in parents),
-                    backward_fn, is_param)
+    def _record(self, value, parents, backward_fn, is_param=False) -> Node:
+        needs_grad = is_param or any(p.needs_grad for p in parents)
+        node = Node(len(self._nodes), value, tuple(p.id for p in parents),
+                    backward_fn if needs_grad else None, is_param, needs_grad)
         self._nodes.append(node)
         return node
 
     def leaf(self, value, *, param: bool = False) -> Node:
         """Graph input. Finiteness is checked here, the graph boundary."""
-        arr = _as_array(value)
+        arr = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError("non-finite value entering the tape")
-        return self._record("param" if param else "input", arr, (), None, param)
-
-    # -- elementwise ----------------------------------------------------
-
-    def _check_same_shape(self, op, a: Node, b: Node):
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"{op}: shape {a.value.shape} != {b.value.shape}")
-
-    def add(self, a: Node, b: Node) -> Node:
-        self._check_same_shape("add", a, b)
-        return self._record("add", a.value + b.value, (a, b), lambda g: (g, g))
-
-    def sub(self, a: Node, b: Node) -> Node:
-        self._check_same_shape("sub", a, b)
-        return self._record("sub", a.value - b.value, (a, b), lambda g: (g, -g))
-
-    def mul(self, a: Node, b: Node) -> Node:
-        self._check_same_shape("mul", a, b)
-        av, bv = a.value, b.value
-        return self._record("mul", av * bv, (a, b), lambda g: (g * bv, g * av))
-
-    def scale(self, a: Node, c: float) -> Node:
-        c = float(c)
-        return self._record("scale", c * a.value, (a,), lambda g: (c * g,))
+        return self._record(arr, (), None, param)
 
     def silu(self, a: Node) -> Node:
         """Sigmoid-weighted activation x * sigmoid(x); smooth everywhere."""
@@ -91,19 +70,7 @@ class Tape:
         def backward(g):
             return (g * (sig * (1.0 + x * (1.0 - sig))),)
 
-        return self._record("silu", out, (a,), backward)
-
-    # -- linear algebra -------------------------------------------------
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        av, bv = a.value, b.value
-        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {av.shape} @ {bv.shape}")
-
-        def backward(g):
-            return (g @ bv.T, av.T @ g)
-
-        return self._record("matmul", av @ bv, (a, b), backward)
+        return self._record(out, (a,), backward)
 
     def affine(self, x: Node, w: Node, b: Node) -> Node:
         """x @ w + b with the bias broadcast over rows of x."""
@@ -114,33 +81,26 @@ class Tape:
             raise ShapeError(f"affine: bias shape {bv.shape} != ({wv.shape[1]},)")
 
         def backward(g):
-            return (g @ wv.T, xv.T @ g, g.sum(axis=0))
+            gx = g @ wv.T if x.needs_grad else None
+            return (gx, xv.T @ g, g.sum(axis=0))
 
-        return self._record("affine", xv @ wv + bv, (x, w, b), backward)
-
-    # -- reductions ------------------------------------------------------
-
-    def reduce_sum(self, a: Node) -> Node:
-        shape = a.value.shape
-        return self._record(
-            "reduce_sum",
-            np.asarray(a.value.sum()),
-            (a,),
-            lambda g: (np.full(shape, float(g)),),
-        )
+        return self._record(xv @ wv + bv, (x, w, b), backward)
 
     def mean_squared_error(self, a: Node, b: Node) -> Node:
         """Mean over all entries of (a - b)^2; the regression loss."""
-        self._check_same_shape("mean_squared_error", a, b)
+        if a.value.shape != b.value.shape:
+            raise ShapeError(
+                f"mean_squared_error: shape {a.value.shape} != {b.value.shape}"
+            )
         diff = a.value - b.value
         n = diff.size
         out = np.asarray(np.mean(diff * diff))
 
         def backward(g):
             d = (2.0 / n) * float(g) * diff
-            return (d, -d)
+            return (d if a.needs_grad else None, -d if b.needs_grad else None)
 
-        return self._record("mse", out, (a, b), backward)
+        return self._record(out, (a, b), backward)
 
     # -- reverse pass ----------------------------------------------------
 
@@ -161,6 +121,8 @@ class Tape:
             if g is None or node.backward_fn is None:
                 continue
             for pid, pg in zip(node.parents, node.backward_fn(g)):
+                if pg is None:
+                    continue
                 # accumulation reassigns (never mutates), so sharing is safe
                 grads[pid] = pg if grads[pid] is None else grads[pid] + pg
         out = {}

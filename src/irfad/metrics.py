@@ -196,7 +196,6 @@ class EvalReport:
     pixel_f1: float | None = None
     pixel_aupro: float | None = None
     nfe: int = 0
-    samples_per_sec: float = 0.0
 
     METRIC_FIELDS = (
         "image_auroc",
@@ -222,7 +221,6 @@ class EvalReport:
                 out.append((name, repr(float(value))))
         out.append(("mad", repr(float(self.mad))))
         out.append(("nfe", str(self.nfe)))
-        out.append(("samples_per_sec", repr(float(self.samples_per_sec))))
         return out
 
 

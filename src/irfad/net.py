@@ -21,10 +21,11 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -277,10 +278,7 @@ def save_checkpoint(net: NoisePredictor, path: str | os.PathLike) -> None:
     buf.write(blob)
     for p in net.params:
         buf.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    atomic_write(path, buf.getvalue())
 
 
 def load_checkpoint(
@@ -289,7 +287,9 @@ def load_checkpoint(
     """Load a checkpoint; refuses version or schedule mismatches.
 
     When `schedule` is given, its T (and beta range, when parameterized)
-    must match the values recorded at save time.
+    must match the values recorded at save time. Parameter shapes that
+    disagree with the recorded d, hidden and m, and non-finite parameters,
+    make the file corrupt.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -315,8 +315,13 @@ def load_checkpoint(
             seed=header["seed"],
         )
         shapes = [tuple(s) for s in header["param_shapes"]]
+        expected = [s for pair in NoisePredictor.layer_shapes(spec) for s in pair]
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
+    if shapes != expected:
+        raise CorruptCheckpointError(
+            f"{path}: param_shapes {shapes} do not fit d, hidden and m ({expected})"
+        )
     if schedule is not None:
         mismatches = []
         if schedule.T != spec.T:
@@ -334,7 +339,10 @@ def load_checkpoint(
         chunk = raw[offset : offset + nbytes]
         if len(chunk) < nbytes:
             raise CorruptCheckpointError(f"{path}: truncated parameter data")
-        params.append(np.frombuffer(chunk, dtype="<f8").reshape(shape).copy())
+        param = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(param)):
+            raise CorruptCheckpointError(f"{path}: non-finite parameter values")
+        params.append(param)
         offset += nbytes
     if offset != len(raw):
         raise CorruptCheckpointError(f"{path}: trailing bytes after parameters")

@@ -19,18 +19,11 @@ import numpy as np
 from . import baselines
 from .data import Dataset
 from .errors import ParameterError
-from .metrics import (
-    EvalReport,
-    aupro,
-    auroc,
-    average_precision,
-    f1_max,
-    throughput,
-)
+from .metrics import EvalReport, aupro, auroc, average_precision, f1_max
 from .net import EvalCounter, NoisePredictor, predict_noise
 from .net import time_embedding  # noqa: F401 -- unused; perfbench/spans.py wraps this binding
 from .rng import make_rng
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, mean_path, q_sample
 from .scoring import (
     ComponentStats,
     ImageScore,
@@ -115,19 +108,15 @@ class Scorer:
 
     def _score_irf(self, X, cshape, counter) -> ScoreTable:
         n = X.shape[0]
-        abar = self.schedule.alpha_bar(self.t_infer)
-        rng = (
-            make_rng(self.noise_seed, "score-noisy")
-            if self.kind == IRF_NOISY
-            else None
-        )
+        t = self.t_infer
+        if self.kind == IRF_NOISY:
+            eps = make_rng(self.noise_seed, "score-noisy").standard_normal(X.shape)
+            states = q_sample(self.schedule, X, t, eps)
+        else:
+            states = mean_path(self.schedule, X, t)
         deltas = np.empty((n,) + tuple(cshape))
         for start, stop in self._batches(n):
-            xb = X[start:stop]
-            state = np.sqrt(abar) * xb
-            if rng is not None:
-                state = state + np.sqrt(1.0 - abar) * rng.standard_normal(xb.shape)
-            out = predict_noise(self.net, state, self.t_infer, counter)
+            out = predict_noise(self.net, states[start:stop], t, counter)
             deltas[start:stop] = out.reshape((-1,) + tuple(cshape))
         s_diff, s_nll = image_scores(deltas)
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
@@ -186,13 +175,11 @@ def evaluate_scorer(
     dataset: Dataset,
     fpr_limit: float = 0.3,
     upsample_to: tuple[int, int] | None = None,
-    speed_repeats: int = 0,
 ) -> tuple[EvalReport, ScoreTable]:
     """Score a dataset and assemble the metric report.
 
     Pixel-level metrics are computed when the dataset carries masks and the
-    scorer retains residual fields. speed_repeats > 0 additionally times
-    throughput (median of that many passes after one warm-up).
+    scorer retains residual fields.
     """
     counter = EvalCounter()
     table = scorer(dataset.samples, counter)
@@ -215,8 +202,4 @@ def evaluate_scorer(
         report.pixel_ap = average_precision(flat_scores, flat_labels)
         report.pixel_f1 = f1_max(flat_scores, flat_labels)
         report.pixel_aupro = aupro(maps, dataset.masks, fpr_limit)
-    if speed_repeats > 0:
-        rate, nfe = throughput(scorer, dataset.samples, repeats=speed_repeats)
-        report.samples_per_sec = rate
-        report.nfe = nfe
     return report, table

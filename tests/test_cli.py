@@ -89,6 +89,9 @@ def test_eval_reports_pixel_metrics(tiny_blob_run):
     for key in ("image_auroc", "pixel_auroc", "pixel_aupro", "mad", "nfe"):
         assert key in metrics
     assert 0.0 <= float(metrics["pixel_auroc"]) <= 1.0
+    # eval times nothing, so it reports no throughput
+    assert "samples_per_sec" not in metrics
+    assert "samples_per_sec" not in res.stdout
 
 
 def test_bench_reports_nfe_per_scorer(tiny_blob_run):
@@ -174,6 +177,52 @@ def test_eval_on_nan_sample_exits_3(tiny_blob_run, tmp_path):
     assert "non-finite" in res.stderr
 
 
+def test_eval_with_nan_checkpoint_exits_3(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    raw = (root / "run" / "checkpoint.bin").read_bytes()
+    bad = tmp_path / "nan.bin"
+    bad.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(root / "data" / "test"), checkpoint=str(bad)
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.strip().startswith("irfad: error: data:")
+    assert "non-finite" in res.stderr
+
+
+def test_eval_with_non_binary_label_exits_3(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    split = load_dataset(root / "data" / "test")
+    save_dataset(split, tmp_path / "split")
+    labels = bytearray((tmp_path / "split" / "labels.bin").read_bytes())
+    labels[0] = 2
+    (tmp_path / "split" / "labels.bin").write_bytes(bytes(labels))
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(tmp_path / "split"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.strip().startswith("irfad: error: data:")
+
+
+def test_eval_with_nan_score_exits_3(tmp_path):
+    _, test = gen_toy(0)
+    save_dataset(test, tmp_path / "ds")
+    scores_path = tmp_path / "scores.csv"
+    rows = ["id,s,s_diff,s_nll"] + [f"{i},{0.5 if i else 'nan'},," for i in range(len(test))]
+    scores_path.write_text("\n".join(rows) + "\n")
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(tmp_path / "ds"), scores_csv=str(scores_path)
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3
+    assert res.stderr.strip().startswith("irfad: error: data:")
+    assert "non-finite" in res.stderr
+
+
 def test_gen_without_generator_exits_2(tmp_path):
     res = run_cli("gen", "--out", str(tmp_path / "o"))
     assert res.returncode == 2
@@ -219,3 +268,25 @@ def test_manifest_embeds_resolved_config(tiny_blob_run):
     assert "command=train" in manifest
     assert "seed=3" in manifest
     assert "epochs=8" in manifest
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "score", "eval", "toy", "bench"])
+def test_manifest_names_its_command(command, tiny_blob_run, tmp_path):
+    root, train_cfg, run_cfg, *_ = tiny_blob_run
+    written = {
+        "gen": dict(data="blobs", n_train=4, n_test=4),
+        "toy": dict(epochs=1),
+        "bench": dict(
+            data=str(root / "data" / "test"),
+            checkpoint=str(root / "run" / "checkpoint.bin"),
+            infer_batch=64, recon_steps=2, bench_repeats=1,
+        ),
+    }
+    if command in written:
+        cfg = write_config(tmp_path / "c.cfg", **written[command])
+    else:
+        cfg = train_cfg if command == "train" else run_cfg
+    out = tmp_path / "out"
+    res = run_cli(command, "--config", cfg, "--out", str(out), "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    assert (out / "manifest").read_text().startswith(f"command={command}\n")

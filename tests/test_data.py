@@ -148,6 +148,26 @@ def test_truncated_samples_is_load_error(tmp_path):
         load_dataset(tmp_path / "ds")
 
 
+def test_non_binary_label_is_load_error(tmp_path):
+    _, test = gen_toy(0)
+    save_dataset(test, tmp_path / "ds")
+    raw = bytearray((tmp_path / "ds" / "labels.bin").read_bytes())
+    raw[3] = 2
+    (tmp_path / "ds" / "labels.bin").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="labels"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_non_binary_mask_is_load_error(tmp_path):
+    _, test = gen_blobs(2, 4, seed=0)
+    save_dataset(test, tmp_path / "ds")
+    raw = bytearray((tmp_path / "ds" / "masks" / "masks.bin").read_bytes())
+    raw[0] = 7
+    (tmp_path / "ds" / "masks" / "masks.bin").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="masks"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_abnormal_train_dir_rejected_at_load(tmp_path):
     _, test = gen_toy(0)
     save_dataset(test, tmp_path / "ds")

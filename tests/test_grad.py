@@ -19,45 +19,7 @@ def build_op_graph(op: str, rng):
     Returns (arrays, run) where run() rebuilds the tape on the current
     array contents and returns (loss_value, grads aligned with arrays).
     """
-    if op in ("add", "sub", "mul"):
-        shape = random_shape(rng)
-        arrays = [rng.standard_normal(shape) for _ in range(2)]
-        target = rng.standard_normal(shape)
-
-        def run():
-            tape = Tape()
-            a, b = (tape.leaf(x, param=True) for x in arrays)
-            out = getattr(tape, op)(a, b)
-            loss = tape.mean_squared_error(out, tape.leaf(target))
-            grads = tape.backward(loss)
-            return float(loss.value), [grads[a.id], grads[b.id]]
-
-    elif op == "matmul":
-        n, k, m = (int(rng.integers(1, 4)) for _ in range(3))
-        arrays = [rng.standard_normal((n, k)), rng.standard_normal((k, m))]
-        target = rng.standard_normal((n, m))
-
-        def run():
-            tape = Tape()
-            a, b = (tape.leaf(x, param=True) for x in arrays)
-            loss = tape.mean_squared_error(tape.matmul(a, b), tape.leaf(target))
-            grads = tape.backward(loss)
-            return float(loss.value), [grads[a.id], grads[b.id]]
-
-    elif op == "scale":
-        shape = random_shape(rng)
-        arrays = [rng.standard_normal(shape)]
-        c = float(rng.standard_normal())
-        target = rng.standard_normal(shape)
-
-        def run():
-            tape = Tape()
-            a = tape.leaf(arrays[0], param=True)
-            loss = tape.mean_squared_error(tape.scale(a, c), tape.leaf(target))
-            grads = tape.backward(loss)
-            return float(loss.value), [grads[a.id]]
-
-    elif op == "affine":
+    if op == "affine":
         n, k, m = (int(rng.integers(1, 4)) for _ in range(3))
         arrays = [
             rng.standard_normal((n, k)),
@@ -85,17 +47,6 @@ def build_op_graph(op: str, rng):
             grads = tape.backward(loss)
             return float(loss.value), [grads[a.id]]
 
-    elif op == "reduce_sum":
-        shape = random_shape(rng)
-        arrays = [rng.standard_normal(shape) for _ in range(2)]
-
-        def run():
-            tape = Tape()
-            a, b = (tape.leaf(x, param=True) for x in arrays)
-            loss = tape.reduce_sum(tape.mul(a, b))
-            grads = tape.backward(loss)
-            return float(loss.value), [grads[a.id], grads[b.id]]
-
     elif op == "mean_squared_error":
         shape = random_shape(rng)
         arrays = [rng.standard_normal(shape) for _ in range(2)]
@@ -112,17 +63,7 @@ def build_op_graph(op: str, rng):
     return arrays, run
 
 
-ALL_OPS = (
-    "add",
-    "sub",
-    "mul",
-    "matmul",
-    "scale",
-    "affine",
-    "silu",
-    "reduce_sum",
-    "mean_squared_error",
-)
+ALL_OPS = ("affine", "silu", "mean_squared_error")
 
 
 def sweep_op(op: str, instances: int, seed: int = 0):
@@ -146,25 +87,25 @@ def test_mse_identical_inputs_is_zero():
     assert float(tape.mean_squared_error(v, v).value) == 0.0
 
 
-def test_matmul_identity():
+def test_affine_identity():
     tape = Tape()
     a = np.arange(6.0).reshape(2, 3)
-    out = tape.matmul(tape.leaf(np.eye(2)), tape.leaf(a))
+    out = tape.affine(tape.leaf(np.eye(2)), tape.leaf(a), tape.leaf(np.zeros(3)))
     assert np.array_equal(out.value, a)
 
 
-def test_reduce_sum_of_zeros():
-    tape = Tape()
-    assert float(tape.reduce_sum(tape.leaf(np.zeros((3, 2)))).value) == 0.0
-
-
 def test_backward_closed_form_linear():
-    # loss = sum(c * p) -> grad = c everywhere
+    # loss = mean((x @ w + b - y)^2) -> grad w = x^T r, grad b = sum of rows of r,
+    # with r = 2 (x @ w + b - y) / size
+    rng = make_rng(4, "closed-linear")
+    x, w, b, y = (rng.standard_normal(s) for s in ((4, 3), (3, 2), (2,), (4, 2)))
     tape = Tape()
-    p = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]), param=True)
-    loss = tape.reduce_sum(tape.scale(p, 2.5))
-    grads = tape.backward(loss)
-    assert np.array_equal(grads[p.id], np.full((2, 2), 2.5))
+    wn, bn = tape.leaf(w, param=True), tape.leaf(b, param=True)
+    out = tape.affine(tape.leaf(x), wn, bn)
+    grads = tape.backward(tape.mean_squared_error(out, tape.leaf(y)))
+    r = 2.0 * (x @ w + b - y) / y.size
+    assert np.allclose(grads[wn.id], x.T @ r, rtol=0, atol=1e-15)
+    assert np.allclose(grads[bn.id], r.sum(axis=0), rtol=0, atol=1e-15)
 
 
 def test_backward_closed_form_mse_against_zero():
@@ -205,11 +146,12 @@ def test_backward_deterministic():
     rng = make_rng(2, "fd-det")
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 3))
+    b = rng.standard_normal(3)
 
     def run():
         tape = Tape()
         wn = tape.leaf(w, param=True)
-        out = tape.silu(tape.matmul(tape.leaf(x), wn))
+        out = tape.silu(tape.affine(tape.leaf(x), wn, tape.leaf(b, param=True)))
         loss = tape.mean_squared_error(out, tape.leaf(np.zeros((4, 3))))
         return tape.backward(loss)[wn.id]
 
@@ -217,31 +159,56 @@ def test_backward_deterministic():
     assert np.array_equal(g1, g2)
 
 
-def test_gradient_of_sum_is_sum_of_gradients():
-    rng = make_rng(3, "fd-lin")
-    p_val = rng.standard_normal((3, 3))
-    t1 = rng.standard_normal((3, 3))
-    t2 = rng.standard_normal((3, 3))
+def test_shared_parameters_accumulate_gradients():
+    # one (w, b) pair feeds two affines, so each gradient sums two uses
+    rng = make_rng(3, "fd-shared")
+    x = rng.standard_normal((4, 3))
+    arrays = [rng.standard_normal((3, 3)), rng.standard_normal(3)]
+    target = rng.standard_normal((4, 3))
 
-    def single(target):
+    def run():
         tape = Tape()
-        p = tape.leaf(p_val, param=True)
-        loss = tape.mean_squared_error(p, tape.leaf(target))
-        return tape.backward(loss)[p.id]
+        w, b = (tape.leaf(a, param=True) for a in arrays)
+        h = tape.silu(tape.affine(tape.leaf(x), w, b))
+        loss = tape.mean_squared_error(tape.affine(h, w, b), tape.leaf(target))
+        grads = tape.backward(loss)
+        return float(loss.value), [grads[w.id], grads[b.id]]
 
-    tape = Tape()
-    p = tape.leaf(p_val, param=True)
-    l1 = tape.mean_squared_error(p, tape.leaf(t1))
-    l2 = tape.mean_squared_error(p, tape.leaf(t2))
-    combined = tape.backward(tape.add(l1, l2))[p.id]
-    assert np.allclose(combined, single(t1) + single(t2), rtol=1e-12, atol=1e-15)
+    _, grads = run()
+    for arr, g in zip(arrays, grads):
+        assert grad_close(g, fd_gradient(lambda: run()[0], arr))
+
+
+def test_input_leaves_need_no_gradient():
+    rng = make_rng(5, "needs-grad")
+    x = rng.standard_normal((4, 3))
+    arrays = [rng.standard_normal((3, 5)), rng.standard_normal(5)]
+    target = rng.standard_normal((4, 5))
+
+    def run(x_is_param):
+        tape = Tape()
+        xn = tape.leaf(x, param=x_is_param)
+        w, b = (tape.leaf(a, param=True) for a in arrays)
+        out = tape.silu(tape.affine(xn, w, b))
+        y = tape.leaf(target)
+        loss = tape.mean_squared_error(out, y)
+        grads = tape.backward(loss)
+        return xn, y, out, [grads[w.id], grads[b.id]]
+
+    xn, y, out, grads = run(False)
+    assert not xn.needs_grad and not y.needs_grad and out.needs_grad
+    xp, _, _, reference = run(True)
+    assert xp.needs_grad
+    for g, ref in zip(grads, reference):
+        assert np.array_equal(g, ref)
 
 
 def test_non_scalar_backward_root_rejected():
     tape = Tape()
-    a = tape.leaf(np.ones(3), param=True)
+    a = tape.leaf(np.ones((2, 3)), param=True)
+    out = tape.affine(a, tape.leaf(np.ones((3, 2))), tape.leaf(np.zeros(2)))
     with pytest.raises(ContractError):
-        tape.backward(tape.scale(a, 2.0))
+        tape.backward(out)
 
 
 def test_shape_mismatch_rejected():
@@ -249,9 +216,11 @@ def test_shape_mismatch_rejected():
     a = tape.leaf(np.ones(3))
     b = tape.leaf(np.ones(4))
     with pytest.raises(ShapeError):
-        tape.add(a, b)
+        tape.mean_squared_error(a, b)
     with pytest.raises(ShapeError):
-        tape.matmul(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 3))))
+        tape.affine(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((2, 3))), b)
+    with pytest.raises(ShapeError):
+        tape.affine(tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 2))), b)
 
 
 def test_non_finite_leaf_rejected():

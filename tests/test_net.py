@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -229,6 +230,28 @@ def test_checkpoint_bad_magic(tmp_path, net):
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptCheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_nan_parameter_is_corrupt(tmp_path, net, schedule):
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(CorruptCheckpointError, match="non-finite"):
+        load_checkpoint(path, schedule)
+
+
+def test_checkpoint_shapes_disagreeing_with_header_are_corrupt(tmp_path, net, schedule):
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + hlen])
+    header["hidden"] = [128, 128]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    with pytest.raises(CorruptCheckpointError, match="param_shapes"):
+        load_checkpoint(path, schedule)
 
 
 def test_trained_noise_stats_on_normal_data(toy_run):
