@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .net import EvalCounter, NoisePredictor, predict_noise
-from .schedule import NoiseSchedule, q_sample
+from .schedule import NoiseSchedule, check_step, q_sample
 
 RECONSTRUCTION = "reconstruction"
 DDIM_INVERSION = "ddim_inversion"
@@ -76,7 +76,7 @@ def reconstruct_batch(
     counter: EvalCounter | None = None,
 ) -> np.ndarray:
     """Per-row mean squared reconstruction error of a (B, d) batch."""
-    schedule.check_step(t_start)
+    t_start = check_step(t_start, schedule.T)
     x0 = _as_batch(net, x0)
     taus = substep_grid(t_start, steps)
     jump_eps, zs = noise

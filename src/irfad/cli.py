@@ -267,12 +267,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         net, schedule = _load_net(cfg)
         t_infer = _resolve_t(cfg, toy=len(dataset.sample_shape) == 1)
         scorer = _make_scorer(cfg, cfg.scorer, net, schedule, t_infer)
-        report, _ = evaluate_scorer(
-            scorer,
-            dataset,
-            fpr_limit=cfg.fpr_limit,
-            upsample_to=(cfg.up_height, cfg.up_width) if dataset.masks is not None else None,
-        )
+        report, _ = evaluate_scorer(scorer, dataset, fpr_limit=cfg.fpr_limit)
     _write_report(cfg.out, report)
 
 

@@ -1,12 +1,16 @@
 """Evaluation metrics with exactly pinned tie conventions.
 
-All ranking metrics group equal scores into one threshold step, and every
-curve-level accumulation goes through math.fsum (exact summation), so the
-results are reproducible to the bit and can be checked against brute-force
-oracles with equality rather than tolerances.
+All ranking metrics read one curve, built by one stable sort: each
+distinct score, descending, with the cumulative true and false positives
+at it, so equal scores form one threshold step. Counts are exact integers
+and every curve-level accumulation goes through math.fsum (exact
+summation), so the results are reproducible to the bit and can be checked
+against brute-force oracles with equality rather than tolerances.
+Non-finite scores are refused with NumericError.
 
 Conventions:
-* auroc: trapezoidal ROC area in the midrank (Mann-Whitney) formulation.
+* auroc: the Mann-Whitney U over n_pos * n_neg (the trapezoidal ROC
+  area), a positive tied with a negative counting one half.
 * average_precision: step-wise sum of precision at each recall increment.
 * f1_max: max over thresholds induced by distinct score values of
   2*TP / (2*TP + FP + FN), predicting positive at score >= threshold.
@@ -27,9 +31,8 @@ from math import fsum
 
 import numpy as np
 from scipy import ndimage
-from scipy.stats import rankdata
 
-from .errors import ParameterError, UndefinedMetricError
+from .errors import NumericError, ParameterError, UndefinedMetricError
 from .net import EvalCounter
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
@@ -37,71 +40,69 @@ DEFAULT_FPR_LIMIT = 0.3
 
 
 def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The one entry check of every metric: flat finite scores, binary labels."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape:
         raise ParameterError("scores and labels must have equal length")
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("scores must be finite")
     if not np.all((labels == 0) | (labels == 1)):
         raise ParameterError("labels must be binary (0 = normal, 1 = abnormal)")
     return scores, labels.astype(np.int64)
 
 
+def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ranking curve: distinct scores, descending, with cumulative TP, FP.
+
+    Entry k counts the samples scored >= thresholds[k], i.e. what is
+    predicted positive at that threshold. Every ranking metric reads this
+    one stable sort.
+    """
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)  # end of each tie group
+    tp = np.cumsum(labels[order])[last]
+    fp = np.flatnonzero(last) + 1 - tp
+    return ranked[last], tp, fp
+
+
 def auroc(scores, labels) -> float:
-    """Area under the ROC curve; ties handled by midranks."""
+    """Area under the ROC curve: the Mann-Whitney U over n_pos * n_neg,
+    a positive tied with a negative counting one half."""
     scores, labels = _check_binary(scores, labels)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("auroc needs at least one sample of each class")
-    ranks = rankdata(scores, method="average")
-    rank_sum = fsum(ranks[labels == 1])
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (float(n_pos) * float(n_neg))
-
-
-def _threshold_counts(scores, labels) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cumulative (TP, predicted-positive) at each distinct-score boundary.
-
-    Entry k corresponds to predicting positive at score >= the (k+1)-th
-    largest distinct value.
-    """
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    tp_cum = np.cumsum(labels[order])
-    # last index of each tie group
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    ends = np.concatenate([boundary, [scores.size - 1]])
-    return tp_cum[ends], ends + 1, int(labels.sum())
+    _, tp, fp = _sweep(scores, labels)
+    # each positive of a tie group beats the negatives below the group and
+    # ties with the group's own: 2U sums exactly in int64
+    u2 = int(np.sum(np.diff(tp, prepend=0) * (2 * (n_neg - fp) + np.diff(fp, prepend=0))))
+    return u2 / (2.0 * n_pos * n_neg)
 
 
 def average_precision(scores, labels) -> float:
     """Step-wise AP: sum over recall increments of the precision there."""
     scores, labels = _check_binary(scores, labels)
-    tp, npred, n_pos = _threshold_counts(scores, labels)
+    n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    terms = []
-    tp_prev = 0
-    for tp_k, k in zip(tp.tolist(), npred.tolist()):
-        if tp_k > tp_prev:
-            terms.append(((tp_k - tp_prev) / n_pos) * (tp_k / k))
-        tp_prev = tp_k
-    return fsum(terms)
+    _, tp, fp = _sweep(scores, labels)
+    gain = np.diff(tp, prepend=0)
+    step = gain > 0
+    return fsum((gain[step] / n_pos) * (tp[step] / (tp[step] + fp[step])))
 
 
 def f1_max(scores, labels) -> float:
     """Maximum F1 over thresholds at the distinct score values."""
     scores, labels = _check_binary(scores, labels)
-    tp, npred, n_pos = _threshold_counts(scores, labels)
+    n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("f1_max needs at least one positive")
-    best = 0.0
-    for tp_k, k in zip(tp.tolist(), npred.tolist()):
-        fp_k = k - tp_k
-        fn_k = n_pos - tp_k
-        denom = 2 * tp_k + fp_k + fn_k
-        if denom > 0:
-            best = max(best, 2 * tp_k / denom)
-    return best
+    _, tp, fp = _sweep(scores, labels)
+    # 2TP / (2TP + FP + FN), and TP + FP + FN = predicted + n_pos
+    return float(np.max(2 * tp / (tp + fp + n_pos)))
 
 
 def _mask_regions(masks: np.ndarray) -> list[np.ndarray]:
@@ -124,48 +125,40 @@ def pro_curve(score_maps, masks) -> tuple[np.ndarray, np.ndarray]:
     masks = np.asarray(masks)
     if score_maps.shape != masks.shape or score_maps.ndim != 3:
         raise ParameterError("score_maps and masks must both be (n, H, W)")
-    if not np.all((masks == 0) | (masks == 1)):
-        raise ParameterError("masks must be binary")
+    flat_scores, flat_labels = _check_binary(score_maps, masks)
 
     regions = _mask_regions(masks)
     if not regions:
         raise UndefinedMetricError("aupro needs at least one anomalous region")
-    flat_scores = score_maps.reshape(-1)
-    neg_scores = np.sort(flat_scores[masks.reshape(-1) == 0])
-    if neg_scores.size == 0:
+    thresholds, _, fp = _sweep(flat_scores, flat_labels)
+    if fp[-1] == 0:
         raise UndefinedMetricError("aupro needs at least one normal pixel")
 
-    thresholds = np.unique(flat_scores)[::-1]
-
-    def count_ge(sorted_asc: np.ndarray) -> np.ndarray:
-        return sorted_asc.size - np.searchsorted(sorted_asc, thresholds, side="left")
-
-    fpr = count_ge(neg_scores) / neg_scores.size
+    fpr = fp / fp[-1]
+    # regions' recalls add up in canonical order, which fixes the float bits
     pro_sum = np.zeros_like(thresholds)
     for coords in regions:
         region_scores = np.sort(flat_scores[coords])
-        pro_sum = pro_sum + count_ge(region_scores) / region_scores.size
+        hits = region_scores.size - np.searchsorted(region_scores, thresholds, side="left")
+        pro_sum = pro_sum + hits / region_scores.size
     return fpr, pro_sum / len(regions)
 
 
 def _integrate_to_limit(fpr, pro, limit: float) -> float:
-    """Trapezoid area of the (0,0)-anchored curve up to FPR = limit."""
+    """Trapezoid area of the (0,0)-anchored curve up to FPR = limit.
+
+    `fpr` is nondecreasing and ends at 1 >= limit, so the limit falls on
+    or inside one segment, which is cut there.
+    """
     xs = np.concatenate([[0.0], fpr])
     ys = np.concatenate([[0.0], pro])
-    terms = []
-    for i in range(len(xs) - 1):
-        f0, f1 = xs[i], xs[i + 1]
-        p0, p1 = ys[i], ys[i + 1]
-        if f1 <= limit:
-            terms.append((f1 - f0) * (p0 + p1) / 2.0)
-            if f1 == limit:
-                break
-        else:
-            if f0 < limit:
-                tt = (limit - f0) / (f1 - f0)
-                pl = p0 + tt * (p1 - p0)
-                terms.append((limit - f0) * (p0 + pl) / 2.0)
-            break
+    k = int(np.searchsorted(fpr, limit))  # segment k, xs[k]..xs[k+1], reaches the limit
+    terms = list((xs[1 : k + 1] - xs[:k]) * (ys[:k] + ys[1 : k + 1]) / 2.0)
+    f0, f1, p0, p1 = xs[k], xs[k + 1], ys[k], ys[k + 1]
+    if f1 > limit:
+        p1 = p0 + (limit - f0) / (f1 - f0) * (p1 - p0)
+        f1 = limit
+    terms.append((f1 - f0) * (p0 + p1) / 2.0)
     return fsum(terms)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .grad import Node, Tape
 from .rng import make_rng
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, check_step
 
 CHECKPOINT_MAGIC = b"IRFN"
 CHECKPOINT_VERSION = 1
@@ -171,14 +170,7 @@ class NoisePredictor:
         t must be one integer in [1, T]. Computed once per step and kept
         read-only, since every caller shares it.
         """
-        try:
-            step = None if isinstance(t, bool) else operator.index(t)
-        except TypeError:
-            step = None
-        if step is None:
-            raise ParameterError(f"step index must be one integer, got {t!r}")
-        if not 1 <= step <= self.spec.T:
-            raise ParameterError(f"step index {step} outside [1, {self.spec.T}]")
+        step = check_step(t, self.spec.T)
         bias = self._folded.get(step)
         if bias is None:
             emb = time_embedding(step, self.spec.m)

@@ -23,14 +23,8 @@ from .metrics import EvalReport, aupro, auroc, average_precision, f1_max
 from .net import EvalCounter, NoisePredictor, predict_noise
 from .net import time_embedding  # noqa: F401 -- unused; perfbench/spans.py wraps this binding
 from .rng import make_rng
-from .schedule import NoiseSchedule, mean_path, q_sample
-from .scoring import (
-    ComponentStats,
-    ImageScore,
-    bilinear_upsample,
-    feature_scale_maps,
-    image_scores,
-)
+from .schedule import NoiseSchedule, check_step, mean_path, q_sample
+from .scoring import bilinear_upsample, feature_scale_maps, image_scores
 
 IRF_MEAN = "irf-mean"
 IRF_NOISY = "irf-noisy"
@@ -80,14 +74,12 @@ class Scorer:
         self.kind = kind
         self.net = net
         self.schedule = schedule
-        self.t_infer = int(t_infer)
+        self.t_infer = check_step(t_infer, schedule.T)
         self.batch_size = int(batch_size)
         self.noise_seed = int(noise_seed)
         self.recon_t_start = int(recon_t_start)
         self.recon_steps = int(recon_steps)
         self.ddim_steps = int(ddim_steps)
-        if kind in (IRF_MEAN, IRF_NOISY):
-            schedule.check_step(self.t_infer)
 
     def __call__(self, samples: np.ndarray, counter: EvalCounter | None = None) -> ScoreTable:
         samples = np.asarray(samples, dtype=np.float64)
@@ -153,33 +145,32 @@ def pixel_maps(table: ScoreTable, target: tuple[int, int]) -> np.ndarray:
 
 
 def normalized_scores(table: ScoreTable, calibration: ScoreTable) -> np.ndarray:
-    """Optional z-scored component sum against held-out normal statistics."""
+    """Optional z-scored component sum against held-out normal statistics.
+
+    s_diff and s_nll are each centred on the calibration table's mean and
+    divided by its standard deviation (at least 1e-12), then added.
+    """
     if table.s_diff is None or calibration.s_diff is None:
         raise ParameterError("component normalization requires IRF score tables")
-    stats = ComponentStats.fit(
-        [
-            ImageScore(s=d + n, s_diff=d, s_nll=n)
-            for d, n in zip(calibration.s_diff, calibration.s_nll)
-        ]
-    )
-    return np.array(
-        [
-            stats.apply(ImageScore(s=d + n, s_diff=d, s_nll=n))
-            for d, n in zip(table.s_diff, table.s_nll)
-        ]
-    )
+    if calibration.s_diff.size == 0:
+        raise ParameterError("need at least one calibration score")
+
+    def zscore(part: np.ndarray, calib: np.ndarray) -> np.ndarray:
+        return (part - calib.mean()) / max(calib.std(), 1e-12)
+
+    return zscore(table.s_diff, calibration.s_diff) + zscore(table.s_nll, calibration.s_nll)
 
 
 def evaluate_scorer(
     scorer: Scorer,
     dataset: Dataset,
     fpr_limit: float = 0.3,
-    upsample_to: tuple[int, int] | None = None,
 ) -> tuple[EvalReport, ScoreTable]:
     """Score a dataset and assemble the metric report.
 
     Pixel-level metrics are computed when the dataset carries masks and the
-    scorer retains residual fields.
+    scorer retains residual fields; the score maps are drawn at the masks'
+    resolution.
     """
     counter = EvalCounter()
     table = scorer(dataset.samples, counter)
@@ -190,12 +181,7 @@ def evaluate_scorer(
         nfe=counter.count,
     )
     if dataset.masks is not None and table.deltas is not None:
-        target = upsample_to if upsample_to is not None else dataset.masks.shape[1:]
-        maps = pixel_maps(table, target)
-        if maps.shape != dataset.masks.shape:
-            raise ParameterError(
-                f"score maps {maps.shape} do not match masks {dataset.masks.shape}"
-            )
+        maps = pixel_maps(table, dataset.masks.shape[1:])
         flat_scores = maps.reshape(-1)
         flat_labels = dataset.masks.reshape(-1)
         report.pixel_auroc = auroc(flat_scores, flat_labels)

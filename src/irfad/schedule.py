@@ -15,6 +15,7 @@ abar_0 == 1. The cumulative products are precomputed once (scoring is the
 hot path) and the schedule is immutable after construction.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,23 @@ from .errors import ParameterError, ShapeError
 DEFAULT_T = 1000
 DEFAULT_BETA_START = 1e-4
 DEFAULT_BETA_END = 0.02
+
+
+def check_step(t, T: int, low: int = 1) -> int:
+    """One step index t as an int in [low, T].
+
+    The one check of a step wherever one enters: booleans, fractions and
+    arrays are refused with ParameterError.
+    """
+    try:
+        step = None if isinstance(t, (bool, np.bool_)) else operator.index(t)
+    except TypeError:
+        step = None
+    if step is None:
+        raise ParameterError(f"step index must be one integer, got {t!r}")
+    if not low <= step <= T:
+        raise ParameterError(f"step index {step} outside [{low}, {T}]")
+    return step
 
 
 @dataclass(frozen=True)
@@ -54,21 +72,10 @@ class NoiseSchedule:
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alpha_bars", abars)
 
-    def check_step(self, t) -> None:
-        t = np.asarray(t)
-        if not np.issubdtype(t.dtype, np.integer):
-            raise ParameterError(f"step index must be integral, got dtype {t.dtype}")
-        if t.size == 0 or np.any(t < 1) or np.any(t > self.T):
-            raise ParameterError(f"step index {t} outside [1, {self.T}]")
-
-    def alpha_bar(self, t):
-        """abar_t for scalar or array t; abar_0 == 1 by convention."""
-        t = np.asarray(t)
-        if np.any(t < 0) or np.any(t > self.T):
-            raise ParameterError(f"step index {t} outside [0, {self.T}]")
-        padded = np.concatenate(([1.0], self.alpha_bars))
-        out = padded[t]
-        return float(out) if out.ndim == 0 else out
+    def alpha_bar(self, t) -> float:
+        """abar_t of one step t in [0, T]; abar_0 == 1 by convention."""
+        t = check_step(t, self.T, low=0)
+        return 1.0 if t == 0 else float(self.alpha_bars[t - 1])
 
 
 def linear_schedule(
@@ -97,13 +104,16 @@ def linear_schedule(
 def _coeffs(schedule: NoiseSchedule, t, ndim: int):
     """sqrt(abar_t) and sqrt(1 - abar_t), shaped to broadcast over samples.
 
-    Scalar t applies one coefficient to the whole array; a 1-D t of length
-    n pairs with a leading batch axis of size n.
+    One step t applies one coefficient to the whole array; a 1-D integer
+    array t of length n pairs with a leading batch axis of size n.
     """
-    schedule.check_step(t)
-    abar = schedule.alpha_bars[np.asarray(t) - 1]
-    if abar.ndim == 1:
-        abar = abar.reshape((-1,) + (1,) * (ndim - 1))
+    if isinstance(t, np.ndarray) and t.ndim == 1:
+        integral = np.issubdtype(t.dtype, np.integer)
+        if not integral or t.size == 0 or t.min() < 1 or t.max() > schedule.T:
+            raise ParameterError(f"per-row steps must be integers in [1, {schedule.T}]")
+        abar = schedule.alpha_bars[t - 1].reshape((-1,) + (1,) * (ndim - 1))
+    else:
+        abar = schedule.alpha_bars[check_step(t, schedule.T) - 1]
     return np.sqrt(abar), np.sqrt(1.0 - abar)
 
 

@@ -5,8 +5,10 @@ residual field at each location, then bilinear upsampling brings it to
 the evaluation resolution. Image level: the score is the sum of two
 parts, the range (max - min) of the feature-scale map and the Gaussian
 negative log-likelihood of the residual field dropped to its quadratic
-term, 0.5 * sum(delta^2). The parts are summed raw; optional z-scoring
-against held-out normal statistics is available but off by default.
+term, 0.5 * sum(delta^2). The parts are summed raw here. Optional
+z-scoring of each part against held-out normal statistics works on score
+tables, in `pipeline.normalized_scores` (config key `normalize_scores`,
+off by default).
 
 Bilinear upsampling is corner-aligned: source corners map onto target
 corners, so target pixel (I, J) reads the source at
@@ -125,32 +127,3 @@ def image_scores(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s_diff = fmaps.max(axis=(1, 2)) - fmaps.min(axis=(1, 2))
     s_nll = 0.5 * np.sum((fields * fields).reshape(len(fields), -1), axis=1)
     return s_diff, s_nll
-
-
-@dataclass(frozen=True)
-class ComponentStats:
-    """Held-out normal statistics for optional component z-scoring."""
-
-    diff_mean: float
-    diff_std: float
-    nll_mean: float
-    nll_std: float
-
-    @classmethod
-    def fit(cls, scores: list[ImageScore]) -> "ComponentStats":
-        if not scores:
-            raise ParameterError("need at least one calibration score")
-        diffs = np.array([sc.s_diff for sc in scores])
-        nlls = np.array([sc.s_nll for sc in scores])
-        return cls(
-            diff_mean=float(diffs.mean()),
-            diff_std=float(max(diffs.std(), 1e-12)),
-            nll_mean=float(nlls.mean()),
-            nll_std=float(max(nlls.std(), 1e-12)),
-        )
-
-    def apply(self, score: ImageScore) -> float:
-        """Combined score with each component z-scored; replaces raw s."""
-        zd = (score.s_diff - self.diff_mean) / self.diff_std
-        zn = (score.s_nll - self.nll_mean) / self.nll_std
-        return zd + zn

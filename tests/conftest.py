@@ -69,7 +69,7 @@ def blob_run():
         net, train_ds, schedule, TrainConfig(epochs=200, batch_size=64, seed=0)
     )
     scorer = Scorer(IRF_MEAN, net, schedule, t_infer=500, batch_size=256)
-    report, table = evaluate_scorer(scorer, test_ds, upsample_to=(32, 32))
+    report, table = evaluate_scorer(scorer, test_ds)
     return SimpleNamespace(
         schedule=schedule,
         train=train_ds,

@@ -5,6 +5,7 @@ from irfad.baselines import (
     DDIM_INVERSION,
     RECONSTRUCTION,
     ddim_invert_score,
+    reconstruct_batch,
     reconstruct_score,
     substep_grid,
 )
@@ -118,6 +119,10 @@ def test_recon_step_budget_validation(schedule, zero_net):
         )
     with pytest.raises(ParameterError):
         reconstruct_score(zero_net, schedule, np.ones(4), t_start=5, steps=1)
+    with pytest.raises(ParameterError):
+        reconstruct_batch(
+            zero_net, schedule, np.ones((1, 4)), np.array([5]), 1, (np.zeros((1, 4)), [])
+        )
 
 
 def test_counters_shared_with_scoring_context(schedule, zero_net):

@@ -94,6 +94,43 @@ def test_eval_reports_pixel_metrics(tiny_blob_run):
     assert "samples_per_sec" not in res.stdout
 
 
+def test_eval_draws_maps_at_the_masks_resolution(tiny_blob_run, tmp_path):
+    # masks generated at 16x16 while up_height/up_width keep their 32x32 default
+    root, *_ = tiny_blob_run
+    gen_cfg = write_config(
+        tmp_path / "gen.cfg", data="blobs", n_train=4, n_test=12, up_height=16, up_width=16
+    )
+    gen = run_cli("gen", "--config", gen_cfg, "--out", str(tmp_path / "data"), "--seed", "4")
+    assert gen.returncode == 0, gen.stderr
+    cfg = write_config(
+        tmp_path / "eval.cfg",
+        data=str(tmp_path / "data" / "test"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "evald"))
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "evald" / "eval.csv") as fh:
+        metrics = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
+    for key in ("pixel_auroc", "pixel_ap", "pixel_f1", "pixel_aupro"):
+        assert 0.0 <= metrics[key] <= 1.0
+
+
+def test_score_normalized_centres_the_normal_rows(tiny_blob_run):
+    root, cfg, cfg2, *_ = tiny_blob_run
+    cfg3 = write_config(
+        root / "normalized.cfg",
+        data=str(root / "data" / "test"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+        normalize_scores="true",
+    )
+    res = run_cli("score", "--config", cfg3, "--out", str(root / "scored-z"))
+    assert res.returncode == 0, res.stderr
+    with open(root / "scored-z" / "scores.csv") as fh:
+        s = np.array([float(r["s"]) for r in csv.DictReader(fh)])
+    labels = load_dataset(root / "data" / "test").labels
+    assert abs(s[labels == 0].mean()) < 1e-9
+
+
 def test_bench_reports_nfe_per_scorer(tiny_blob_run):
     root, cfg, cfg2, *_ = tiny_blob_run
     cfg3 = write_config(

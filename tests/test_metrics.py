@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irfad.errors import ParameterError, UndefinedMetricError
+from irfad.errors import NumericError, ParameterError, UndefinedMetricError
 from irfad.metrics import (
     EvalReport,
     aupro,
     auroc,
     average_precision,
     f1_max,
+    pro_curve,
     throughput,
 )
 from irfad.net import EvalCounter
@@ -130,15 +133,55 @@ def test_f1_no_positives_undefined():
 # -- invariance properties -------------------------------------------------------
 
 
-def test_ranking_metrics_invariant_under_monotone_transforms():
-    rng = make_rng(6, "test-invar")
-    for _ in range(10):
-        scores, labels = random_instance(rng, n_max=80)
-        for transform in (np.exp, lambda s: 3.0 * s + 7.0):
-            ts = transform(scores)
-            assert auroc(ts, labels) == auroc(scores, labels)
-            assert average_precision(ts, labels) == average_precision(scores, labels)
-            assert f1_max(ts, labels) == f1_max(scores, labels)
+STRICTLY_INCREASING = (np.exp, lambda s: 3.0 * s + 7.0, lambda s: s**3 + s)
+
+
+def quarter_steps(draw, shape):
+    """Scores k / 4 for integers k in [-40, 40]: ties are common, and every
+    transform in STRICTLY_INCREASING keeps distinct values distinct."""
+    size = int(np.prod(shape))
+    ks = draw(st.lists(st.integers(-40, 40), min_size=size, max_size=size))
+    return np.array(ks, dtype=float).reshape(shape) / 4.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ranking_metrics_invariant_under_monotone_transforms(data):
+    n = data.draw(st.integers(2, 60))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    labels[0], labels[-1] = 1, 0  # both classes present
+    scores = quarter_steps(data.draw, (n,))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    variants = [(transform(scores), labels) for transform in STRICTLY_INCREASING]
+    variants.append((scores[perm], labels[perm]))
+    for metric in (auroc, average_precision, f1_max):
+        expected = metric(scores, labels)
+        for ts, tl in variants:
+            assert metric(ts, tl) == expected
+
+    shape = tuple(data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (2, 6), (2, 6)))
+    size = int(np.prod(shape))
+    masks = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    masks[0], masks[-1] = 1, 0  # a region and a normal pixel
+    masks = masks.reshape(shape)
+    maps = quarter_steps(data.draw, shape)
+    for limit in (0.3, 1.0):
+        expected = aupro(maps, masks, limit)
+        for transform in STRICTLY_INCREASING:
+            assert aupro(transform(maps), masks, limit) == expected
+
+
+def test_non_finite_scores_rejected():
+    masks = np.zeros((1, 2, 2), dtype=np.uint8)
+    masks[0, 0, 0] = 1
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.array([bad, 1.0, 0.0, 1.0])
+        labels = np.array([1, 1, 0, 0])
+        for metric in (auroc, average_precision, f1_max):
+            with pytest.raises(NumericError):
+                metric(scores, labels)
+        with pytest.raises(NumericError):
+            aupro(scores.reshape(1, 2, 2), masks)
 
 
 # -- aupro ------------------------------------------------------------------------
@@ -194,7 +237,12 @@ def test_aupro_oracle_sweep():
     rng = make_rng(9, "test-aupro-sweep")
     for _ in range(25):
         maps, masks = random_map_instance(rng)
-        for limit in (0.3, 1.0):
+        fpr, _ = pro_curve(maps, masks)
+        interior = fpr[(fpr > 0) & (fpr < 1)]
+        # a limit that is one of the curve's own FPR values ends the
+        # integration exactly on a curve point
+        hit = float(interior[rng.integers(interior.size)])
+        for limit in (0.3, 1.0, hit):
             assert aupro(maps, masks, limit) == aupro_exhaustive(maps, masks, limit)
 
 

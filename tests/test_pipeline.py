@@ -10,6 +10,7 @@ from irfad.pipeline import (
     IRF_NOISY,
     RECON,
     Scorer,
+    ScoreTable,
     evaluate_scorer,
     normalized_scores,
     pixel_maps,
@@ -34,6 +35,14 @@ def test_unknown_scorer_rejected(setup):
     schedule, net, _ = setup
     with pytest.raises(ParameterError):
         Scorer("nope", net, schedule, t_infer=10)
+
+
+@pytest.mark.parametrize("kind", [IRF_MEAN, DDIM])
+@pytest.mark.parametrize("t_infer", [2.5, True, np.array([5]), 0, 101])
+def test_scorer_step_must_be_one_integer_in_range(setup, kind, t_infer):
+    schedule, net, _ = setup
+    with pytest.raises(ParameterError):
+        Scorer(kind, net, schedule, t_infer=t_infer)
 
 
 def test_irf_table_matches_per_sample_scores(setup):
@@ -96,7 +105,7 @@ def test_pixel_maps_requires_fields(setup):
 def test_evaluate_scorer_full_report(setup):
     schedule, net, test_ds = setup
     scorer = Scorer(IRF_MEAN, net, schedule, t_infer=10, batch_size=4)
-    report, table = evaluate_scorer(scorer, test_ds, upsample_to=(8, 8))
+    report, table = evaluate_scorer(scorer, test_ds)
     assert report.nfe == len(test_ds)
     assert 0.0 <= report.image_auroc <= 1.0
     assert report.pixel_auroc is not None
@@ -122,6 +131,9 @@ def test_normalized_scores_centers_calibration_set(setup):
     table = scorer(test_ds.samples)
     z = normalized_scores(table, table)  # self-calibration: mean z-score ~ 0
     assert abs(z.mean()) < 1e-9
+    empty = ScoreTable(s=np.empty(0), s_diff=np.empty(0), s_nll=np.empty(0))
+    with pytest.raises(ParameterError):
+        normalized_scores(table, empty)
 
 
 def test_baseline_table_has_no_components(setup):

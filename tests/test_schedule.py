@@ -3,7 +3,13 @@ import pytest
 
 from irfad.errors import ParameterError, ShapeError
 from irfad.rng import make_rng
-from irfad.schedule import NoiseSchedule, linear_schedule, mean_path, q_sample
+from irfad.schedule import (
+    NoiseSchedule,
+    check_step,
+    linear_schedule,
+    mean_path,
+    q_sample,
+)
 
 
 def test_linear_endpoints():
@@ -111,6 +117,21 @@ def test_step_validation():
         q_sample(sched, np.zeros(2), 11, np.zeros(2))
     with pytest.raises(ParameterError):
         mean_path(sched, np.zeros(2), -1)
+    for bad in (2.5, True, np.array([[5]])):
+        with pytest.raises(ParameterError):
+            mean_path(sched, np.zeros(2), bad)
+    for bad in (np.array([0, 5]), np.array([5.0, 6.0]), np.array([], dtype=int)):
+        with pytest.raises(ParameterError):
+            q_sample(sched, np.zeros((len(bad), 2)), bad, np.zeros((len(bad), 2)))
+    for bad in (True, 2.5, np.array([5]), -1, 11):
+        with pytest.raises(ParameterError):
+            sched.alpha_bar(bad)
+    for bad in (True, 2.5, np.array([5]), 0, 11):
+        with pytest.raises(ParameterError):
+            check_step(bad, sched.T)
+    assert sched.alpha_bar(0) == 1.0
+    assert sched.alpha_bar(np.int64(10)) == sched.alpha_bars[9]
+    assert check_step(np.int32(10), sched.T) == 10
     with pytest.raises(ShapeError):
         q_sample(sched, np.zeros(2), 5, np.zeros(3))
 

@@ -5,8 +5,6 @@ from scipy.stats import norm
 from irfad.errors import ParameterError, ShapeError
 from irfad.rng import make_rng
 from irfad.scoring import (
-    ComponentStats,
-    ImageScore,
     bilinear_upsample,
     image_score,
     score_map,
@@ -130,10 +128,13 @@ def test_invalid_fields_rejected():
 
 
 def test_component_zscoring():
-    calib = [ImageScore(s=1.0 + i, s_diff=float(i), s_nll=1.0) for i in range(5)]
-    stats = ComponentStats.fit(calib)
-    z = stats.apply(ImageScore(s=3.0, s_diff=2.0, s_nll=1.0))
-    assert z == pytest.approx(0.0, abs=1e-9)  # both components at their means
+    from irfad.pipeline import ScoreTable, normalized_scores
+
+    diffs = np.arange(5.0)
+    calib = ScoreTable(s=diffs + 1.0, s_diff=diffs, s_nll=np.ones(5))
+    table = ScoreTable(s=np.array([3.0]), s_diff=np.array([2.0]), s_nll=np.array([1.0]))
+    z = normalized_scores(table, calib)
+    assert z[0] == pytest.approx(0.0, abs=1e-9)  # both components at their means
 
 
 # -- pixel-level ranking on the reference feature-map run ----------------------
