@@ -239,10 +239,12 @@ def _read_scores_csv(path: str) -> np.ndarray:
         raise DataError(f"scores csv not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "s" not in reader.fieldnames:
-            raise DataError(f"{path}: missing 's' column")
         try:
+            if reader.fieldnames is None or "s" not in reader.fieldnames:
+                raise DataError(f"{path}: missing 's' column")
             scores = np.array([float(row["s"]) for row in reader])
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad score value ({exc})") from exc
     if not np.all(np.isfinite(scores)):

@@ -126,15 +126,19 @@ def load_config_file(path: str | os.PathLike, config: RunConfig) -> RunConfig:
     path = os.fspath(path)
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            config.set_key(key.strip(), value.strip())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        config.set_key(key.strip(), value.strip())
     return config
 
 

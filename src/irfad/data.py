@@ -245,7 +245,7 @@ def _parse_manifest(path: str) -> dict:
                     continue
                 key, _, value = line.partition("=")
                 manifest[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest: {exc}") from exc
     return manifest
 

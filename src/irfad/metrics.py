@@ -1,11 +1,13 @@
 """Evaluation metrics with exactly pinned tie conventions.
 
-All ranking metrics read one curve, built by one stable sort: each
-distinct score, descending, with the cumulative true and false positives
-at it, so equal scores form one threshold step. Counts are exact integers
-and every curve-level accumulation goes through math.fsum (exact
-summation), so the results are reproducible to the bit and can be checked
-against brute-force oracles with equality rather than tolerances.
+All ranking metrics read one curve, built by one sort: each distinct
+score, descending, with the cumulative true and false positives at it, so
+equal scores form one threshold step. The curve reads only the ends of
+tie groups, so it does not depend on the order inside a group and the
+sort need not be stable. Counts are exact integers and every curve-level
+accumulation goes through math.fsum (exact summation), so the results
+are reproducible to the bit and can be checked against brute-force
+oracles with equality rather than tolerances.
 Non-finite scores are refused with NumericError.
 
 Conventions:
@@ -18,7 +20,9 @@ Conventions:
   pooled over the set) as a function of pooled pixel FPR, integrated by
   trapezoid up to fpr_limit and normalized by fpr_limit. The curve starts
   at (0, 0) and region order is canonical (image index, then first pixel
-  in row-major order).
+  in row-major order). The regions come from one labeling of the whole
+  stack, and their recalls are summed only at the thresholds where some
+  region pixel sits; between those the sum cannot change.
 * throughput: median samples/sec over `repeats` timed passes after one
   warm-up pass; NFE comes from the evaluation counter.
 """
@@ -35,7 +39,10 @@ from scipy import ndimage
 from .errors import NumericError, ParameterError, UndefinedMetricError
 from .net import EvalCounter
 
-EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+# 8-connected within an image and never across images: only the middle
+# plane of the (image, row, col) structure is set
+EIGHT_CONNECTED = np.zeros((3, 3, 3), dtype=bool)
+EIGHT_CONNECTED[1] = True
 DEFAULT_FPR_LIMIT = 0.3
 
 
@@ -57,14 +64,18 @@ def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Entry k counts the samples scored >= thresholds[k], i.e. what is
     predicted positive at that threshold. Every ranking metric reads this
-    one stable sort.
+    one sort. Only tie-group ends are read (the group's value, the running
+    positive count and the position there), so the order inside a group
+    cannot change the result and the sort need not be stable; `+ 0.0`
+    turns a -0.0 that ends a group tied with 0.0 into 0.0, so the arrays
+    depend on the multiset of (score, label) pairs alone.
     """
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     ranked = scores[order]
     last = np.append(ranked[1:] != ranked[:-1], True)  # end of each tie group
     tp = np.cumsum(labels[order])[last]
     fp = np.flatnonzero(last) + 1 - tp
-    return ranked[last], tp, fp
+    return ranked[last] + 0.0, tp, fp
 
 
 def auroc(scores, labels) -> float:
@@ -107,16 +118,19 @@ def f1_max(scores, labels) -> float:
 
 def _mask_regions(masks: np.ndarray) -> list[np.ndarray]:
     """Flat pixel indices of each 8-connected mask component, pooled over
-    images, in canonical order (image index, then first pixel row-major)."""
-    regions = []
-    for idx in range(masks.shape[0]):
-        labeled, n = ndimage.label(masks[idx], structure=EIGHT_CONNECTED)
-        flat = labeled.reshape(-1)
-        for rid in range(1, n + 1):
-            coords = np.nonzero(flat == rid)[0]
-            regions.append((idx, int(coords[0]), idx * flat.size + coords))
-    regions.sort(key=lambda item: (item[0], item[1]))
-    return [coords for _, _, coords in regions]
+    images, in canonical order (image index, then first pixel row-major).
+
+    One labeling of the (n, H, W) stack numbers the components in raster
+    order, which is the canonical order.
+    """
+    labeled, n = ndimage.label(masks, structure=EIGHT_CONNECTED)
+    if n == 0:
+        return []
+    flat = labeled.reshape(-1)
+    pixels = np.flatnonzero(flat)
+    ids = flat[pixels]
+    grouped = pixels[np.argsort(ids, kind="stable")]  # row-major within a region
+    return np.split(grouped, np.cumsum(np.bincount(ids)[1:-1]))
 
 
 def pro_curve(score_maps, masks) -> tuple[np.ndarray, np.ndarray]:
@@ -135,12 +149,21 @@ def pro_curve(score_maps, masks) -> tuple[np.ndarray, np.ndarray]:
         raise UndefinedMetricError("aupro needs at least one normal pixel")
 
     fpr = fp / fp[-1]
+    # A region's recall changes only at a threshold equal to one of its own
+    # pixels' scores, so the sum over regions is needed only there and is
+    # carried forward in between (0 before the first such threshold).
+    # Thresholds descend; negated, they ascend and searchsorted finds each
+    # region (positive) pixel's own threshold.
+    change = np.unique(np.searchsorted(-thresholds, -flat_scores[flat_labels == 1]))
+    at_change = thresholds[change]
     # regions' recalls add up in canonical order, which fixes the float bits
-    pro_sum = np.zeros_like(thresholds)
+    sums = np.zeros_like(at_change)
     for coords in regions:
         region_scores = np.sort(flat_scores[coords])
-        hits = region_scores.size - np.searchsorted(region_scores, thresholds, side="left")
-        pro_sum = pro_sum + hits / region_scores.size
+        hits = region_scores.size - np.searchsorted(region_scores, at_change, side="left")
+        sums = sums + hits / region_scores.size
+    latest = np.searchsorted(change, np.arange(thresholds.size), side="right")
+    pro_sum = np.concatenate([[0.0], sums])[latest]
     return fpr, pro_sum / len(regions)
 
 

@@ -84,6 +84,8 @@ class Scorer:
     def __call__(self, samples: np.ndarray, counter: EvalCounter | None = None) -> ScoreTable:
         samples = np.asarray(samples, dtype=np.float64)
         n = samples.shape[0]
+        if n == 0:
+            raise ParameterError("cannot score zero samples")
         cshape = _field_shape(samples.shape[1:])
         X = samples.reshape(n, -1)
         if X.shape[1] != self.net.spec.d:

@@ -118,6 +118,30 @@ def _flood_regions(mask: np.ndarray) -> list[list[tuple[int, int]]]:
     return regions
 
 
+def pro_curve_per_threshold(score_maps, masks) -> tuple[np.ndarray, np.ndarray]:
+    """(FPR, mean per-region recall) at each distinct threshold, descending,
+    with every region's recall evaluated at every threshold.
+
+    Regions come from the flood fill, pooled in (image, first-pixel) order,
+    and their recalls add up in that order starting from 0.0, so the float
+    bits are those of the documented curve.
+    """
+    score_maps = np.asarray(score_maps, dtype=np.float64)
+    masks = np.asarray(masks)
+    thresholds = np.unique(score_maps)[::-1]
+    neg = np.sort(score_maps[masks == 0])
+    fp = neg.size - np.searchsorted(neg, thresholds, side="left")
+    pro_sum = np.zeros_like(thresholds)
+    n_regions = 0
+    for i in range(masks.shape[0]):
+        for coords in _flood_regions(masks[i]):
+            region_scores = np.sort([score_maps[i, r, c] for r, c in coords])
+            hits = region_scores.size - np.searchsorted(region_scores, thresholds, side="left")
+            pro_sum = pro_sum + hits / region_scores.size
+            n_regions += 1
+    return fp / fp[-1], pro_sum / n_regions
+
+
 def aupro_exhaustive(score_maps, masks, fpr_limit: float) -> float:
     """Exhaustive threshold enumeration of the per-region-overlap curve.
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from irfad.data import gen_toy, load_dataset, save_dataset
+from irfad.data import Dataset, gen_toy, load_dataset, save_dataset
 
 
 def run_cli(*args, cwd=None):
@@ -155,8 +155,6 @@ def test_eval_on_perfect_detector_fixture(tmp_path):
     labels = test.labels[:20].copy()
     labels[:10] = 0
     labels[10:] = 1
-    from irfad.data import Dataset
-
     ds = Dataset(samples=sub, labels=labels, masks=None, role="test")
     save_dataset(ds, tmp_path / "ds")
     scores_path = tmp_path / "scores.csv"
@@ -260,6 +258,69 @@ def test_eval_with_nan_score_exits_3(tmp_path):
     assert "non-finite" in res.stderr
 
 
+def test_score_normalized_without_normal_rows_exits_2(tiny_blob_run, tmp_path):
+    # the calibration set (the normal rows) is empty
+    root, *_ = tiny_blob_run
+    split = load_dataset(root / "data" / "test")
+    abnormal = split.labels == 1
+    cut = Dataset(
+        samples=split.samples[abnormal], labels=split.labels[abnormal],
+        masks=split.masks[abnormal], provenance=split.provenance, role="test",
+    )
+    save_dataset(cut, tmp_path / "abnormal-only")
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(tmp_path / "abnormal-only"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+        normalize_scores="true",
+    )
+    res = run_cli("score", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.strip().startswith("irfad: error: usage:")
+    assert "zero samples" in res.stderr
+
+
+def test_eval_with_undecodable_manifest_exits_3(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    save_dataset(load_dataset(root / "data" / "test"), tmp_path / "split")
+    manifest = bytearray((tmp_path / "split" / "manifest").read_bytes())
+    manifest[10] ^= 0x80  # no longer UTF-8
+    (tmp_path / "split" / "manifest").write_bytes(bytes(manifest))
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(tmp_path / "split"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.strip().startswith("irfad: error: data:")
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
+def test_eval_with_undecodable_scores_csv_exits_3(tmp_path):
+    _, test = gen_toy(0)
+    save_dataset(test, tmp_path / "ds")
+    scores_path = tmp_path / "scores.csv"
+    rows = [b"id,s\xff,s_diff,s_nll"] + [f"{i},0.5,,".encode() for i in range(len(test))]
+    scores_path.write_bytes(b"\n".join(rows) + b"\n")
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(tmp_path / "ds"), scores_csv=str(scores_path)
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.strip().startswith("irfad: error: data:")
+    assert "UTF-8" in res.stderr
+
+
+def test_undecodable_config_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"data = blobs\nn_train = 4\xff\n")
+    res = run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.strip().startswith("irfad: error: config:")
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
 def test_gen_without_generator_exits_2(tmp_path):
     res = run_cli("gen", "--out", str(tmp_path / "o"))
     assert res.returncode == 2
@@ -267,8 +328,6 @@ def test_gen_without_generator_exits_2(tmp_path):
 
 def test_training_divergence_exits_4(tmp_path):
     train, _ = gen_toy(1)
-    from irfad.data import Dataset
-
     small = Dataset(
         samples=train.samples[:16], labels=train.labels[:16], masks=None, role="train"
     )

@@ -182,3 +182,13 @@ def test_abnormal_train_dir_rejected_at_load(tmp_path):
 def test_missing_manifest_is_load_error(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path / "nothing-here")
+
+
+def test_undecodable_manifest_is_load_error(tmp_path):
+    _, test = gen_blobs(2, 4, seed=0)
+    save_dataset(test, tmp_path / "ds")
+    raw = bytearray((tmp_path / "ds" / "manifest").read_bytes())
+    raw[10] ^= 0x80
+    (tmp_path / "ds" / "manifest").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="manifest"):
+        load_dataset(tmp_path / "ds")

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from irfad.errors import NumericError, ParameterError, UndefinedMetricError
 from irfad.metrics import (
     EvalReport,
+    _mask_regions,
+    _sweep,
     aupro,
     auroc,
     average_precision,
@@ -16,7 +18,14 @@ from irfad.metrics import (
 from irfad.net import EvalCounter
 from irfad.rng import make_rng
 
-from oracles import ap_exhaustive, aupro_exhaustive, auroc_pairs, f1_exhaustive
+from oracles import (
+    _flood_regions,
+    ap_exhaustive,
+    aupro_exhaustive,
+    auroc_pairs,
+    f1_exhaustive,
+    pro_curve_per_threshold,
+)
 
 
 def random_instance(rng, n_max=200, with_ties=True):
@@ -171,6 +180,24 @@ def test_ranking_metrics_invariant_under_monotone_transforms(data):
             assert aupro(transform(maps), masks, limit) == expected
 
 
+# scores drawn from a handful of values, -0.0 and 0.0 among them: tie
+# groups are large and some end on either sign of zero
+TIE_HEAVY = np.array([-0.0, 0.0, 0.5, -1.0, 2.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sweep_ignores_input_order(data):
+    n = data.draw(st.integers(1, 80))
+    picks = data.draw(st.lists(st.integers(0, TIE_HEAVY.size - 1), min_size=n, max_size=n))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    scores = TIE_HEAVY[picks]
+    perm = np.array(data.draw(st.permutations(range(n))))
+    for got, expected in zip(_sweep(scores[perm], labels[perm]), _sweep(scores, labels)):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_non_finite_scores_rejected():
     masks = np.zeros((1, 2, 2), dtype=np.uint8)
     masks[0, 0, 0] = 1
@@ -244,6 +271,69 @@ def test_aupro_oracle_sweep():
         hit = float(interior[rng.integers(interior.size)])
         for limit in (0.3, 1.0, hit):
             assert aupro(maps, masks, limit) == aupro_exhaustive(maps, masks, limit)
+
+
+def assert_pro_curve_matches_oracle(maps, masks):
+    fpr, pro = pro_curve(maps, masks)
+    fpr_ref, pro_ref = pro_curve_per_threshold(maps, masks)
+    assert fpr.tobytes() == fpr_ref.tobytes()
+    assert pro.tobytes() == pro_ref.tobytes()
+
+
+def test_pro_curve_matches_per_threshold_oracle_on_ties():
+    rng = make_rng(11, "test-pro-curve-ties")
+    for _ in range(40):
+        shape = (int(rng.integers(1, 4)), int(rng.integers(2, 7)), int(rng.integers(2, 7)))
+        masks = (rng.random(shape) < rng.choice([0.1, 0.3, 0.6])).astype(np.uint8)
+        masks.reshape(-1)[0], masks.reshape(-1)[-1] = 1, 0
+        # positives and negatives draw from the same few values
+        maps = TIE_HEAVY[rng.integers(0, TIE_HEAVY.size, size=shape)]
+        assert_pro_curve_matches_oracle(maps, masks)
+
+
+def test_pro_curve_matches_per_threshold_oracle_on_edge_layouts():
+    rng = make_rng(12, "test-pro-curve-edges")
+    single = np.zeros((2, 5, 5), dtype=np.uint8)
+    single[1, 1:4, 2:4] = 1  # one region
+    all_but_one = np.ones((2, 4, 4), dtype=np.uint8)
+    all_but_one[1, 2, 3] = 0  # a single normal pixel
+    for masks in (single, all_but_one):
+        for maps in (
+            rng.standard_normal(masks.shape),
+            TIE_HEAVY[rng.integers(0, TIE_HEAVY.size, size=masks.shape)],
+            np.zeros(masks.shape),  # one threshold for every pixel
+        ):
+            assert_pro_curve_matches_oracle(maps, masks)
+
+
+def flood_regions_flat(masks):
+    """The oracle's regions as sorted flat indices, in canonical order."""
+    _, H, W = masks.shape
+    return [
+        sorted(i * H * W + r * W + c for r, c in coords)
+        for i in range(masks.shape[0])
+        for coords in _flood_regions(masks[i])
+    ]
+
+
+def test_mask_regions_match_flood_fill():
+    rng = make_rng(13, "test-mask-regions")
+    cases = [(rng.random((4, 7, 9)) < p).astype(np.uint8) for p in (0.1, 0.3, 0.5, 0.8)]
+    stacked = np.zeros((3, 3, 3), dtype=np.uint8)
+    stacked[:2, 1, 1] = 1  # same (row, col) in consecutive images: two regions
+    stacked[1, 0, 0] = 1  # a diagonal neighbour of (1, 1, 1): joins its region
+    cases.append(stacked)
+    diagonal = np.zeros((3, 4, 4), dtype=np.uint8)  # the middle image stays empty
+    diagonal[0] = np.eye(4)
+    diagonal[2] = np.eye(4)[::-1]
+    diagonal[2, 0, 0] = 1
+    cases.append(diagonal)
+    cases.append(np.zeros((2, 3, 3), dtype=np.uint8))
+    for masks in cases:
+        got = [coords.tolist() for coords in _mask_regions(masks)]
+        assert got == flood_regions_flat(masks)
+    assert len(_mask_regions(stacked)) == 2
+    assert len(_mask_regions(diagonal)) == 3
 
 
 def test_aupro_monotone_in_fpr_limit():

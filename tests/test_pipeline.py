@@ -57,6 +57,15 @@ def test_irf_table_matches_per_sample_scores(setup):
 
 
 @pytest.mark.parametrize("kind", [IRF_MEAN, IRF_NOISY, RECON, DDIM])
+def test_zero_samples_rejected(setup, kind):
+    schedule, net, test_ds = setup
+    scorer = Scorer(kind, net, schedule, t_infer=10,
+                    recon_t_start=50, recon_steps=2, ddim_steps=2)
+    with pytest.raises(ParameterError, match="zero samples"):
+        scorer(test_ds.samples[:0])
+
+
+@pytest.mark.parametrize("kind", [IRF_MEAN, IRF_NOISY, RECON, DDIM])
 def test_nan_sample_rejected(setup, kind):
     schedule, net, test_ds = setup
     samples = test_ds.samples.copy()
