@@ -6,11 +6,6 @@ multi-step reconstruction and inversion baselines, exact evaluation
 metrics, synthetic datasets, and a batch CLI.
 """
 
-from .baselines import (
-    BaselineResult,
-    ddim_invert_score,
-    reconstruct_score,
-)
 from .data import BlobParams, Dataset, gen_blobs, gen_toy, load_dataset, save_dataset
 from .irf import IrfResult, irf_mean, irf_noisy
 from .metrics import EvalReport, aupro, auroc, average_precision, f1_max, throughput
@@ -28,7 +23,6 @@ from .scoring import ImageScore, ScoreMap, bilinear_upsample, image_score, score
 from .trainer import TrainConfig, TrainLog, optimizer_step, train
 
 __all__ = [
-    "BaselineResult",
     "BlobParams",
     "Dataset",
     "EvalCounter",
@@ -45,7 +39,6 @@ __all__ = [
     "auroc",
     "average_precision",
     "bilinear_upsample",
-    "ddim_invert_score",
     "evaluate_scorer",
     "f1_max",
     "gen_blobs",
@@ -60,7 +53,6 @@ __all__ = [
     "optimizer_step",
     "predict_noise",
     "q_sample",
-    "reconstruct_score",
     "save_checkpoint",
     "save_dataset",
     "score_map",

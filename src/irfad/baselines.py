@@ -18,14 +18,11 @@ first root and the cumulative (1 - abar) under the second; the transition
 variance is beta_eff, and the final reverse step injects no noise so the
 chain ends deterministically.
 
-The `*_batch` functions process (B, d) matrices and return one score per
-row; the single-sample wrappers carry the per-call contract (scalar score,
-NFE bookkeeping).
+Both functions process (B, d) matrices and return one score per row; a
+counter, when given, gains one evaluation per row per step.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +30,9 @@ from .errors import ParameterError, ShapeError
 from .net import EvalCounter, NoisePredictor, predict_noise
 from .schedule import NoiseSchedule, check_step, q_sample
 
-RECONSTRUCTION = "reconstruction"
-DDIM_INVERSION = "ddim_inversion"
-
 DEFAULT_RECON_T_START = 500
 DEFAULT_RECON_STEPS = 50
 DEFAULT_DDIM_STEPS = 3
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    score: float
-    nfe: int
-    kind: str
 
 
 def substep_grid(span: int, steps: int) -> np.ndarray:
@@ -103,41 +90,6 @@ def draw_recon_noise(
     return jump_eps, [rng.standard_normal(shape) for _ in range(steps - 1)]
 
 
-def reconstruct_score(
-    net: NoisePredictor,
-    schedule: NoiseSchedule,
-    x0: np.ndarray,
-    t_start: int = DEFAULT_RECON_T_START,
-    steps: int = DEFAULT_RECON_STEPS,
-    rng: np.random.Generator | None = None,
-    noise: tuple[np.ndarray, list[np.ndarray]] | None = None,
-    counter: EvalCounter | None = None,
-) -> BaselineResult:
-    """Perturb-then-denoise reconstruction error of one sample.
-
-    Randomness is injected explicitly: either a generator `rng` or a
-    `noise` tuple (jump_eps, [z_steps .. z_2]); the final step adds none.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    flat = x0.reshape(1, -1)
-    if noise is None:
-        if rng is None:
-            raise ParameterError("reconstruct_score needs rng or explicit noise")
-        noise = draw_recon_noise(rng, flat.shape, steps)
-    else:
-        jump_eps, zs = noise
-        noise = (
-            np.asarray(jump_eps, dtype=np.float64).reshape(1, -1),
-            [np.asarray(z, dtype=np.float64).reshape(1, -1) for z in zs],
-        )
-    counter = counter if counter is not None else EvalCounter()
-    before = counter.count
-    scores = reconstruct_batch(net, schedule, flat, t_start, steps, noise, counter)
-    return BaselineResult(
-        score=float(scores[0]), nfe=counter.count - before, kind=RECONSTRUCTION
-    )
-
-
 def ddim_invert_batch(
     net: NoisePredictor,
     schedule: NoiseSchedule,
@@ -160,20 +112,3 @@ def ddim_invert_batch(
         x0_hat = (x - np.sqrt(1.0 - abar_cur) * eps_hat) / np.sqrt(abar_cur)
         x = np.sqrt(abar_next) * x0_hat + np.sqrt(1.0 - abar_next) * eps_hat
     return 0.5 * np.sum(x * x, axis=1)
-
-
-def ddim_invert_score(
-    net: NoisePredictor,
-    schedule: NoiseSchedule,
-    x0: np.ndarray,
-    steps: int = DEFAULT_DDIM_STEPS,
-    counter: EvalCounter | None = None,
-) -> BaselineResult:
-    """Deterministic inversion score of one sample."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    counter = counter if counter is not None else EvalCounter()
-    before = counter.count
-    scores = ddim_invert_batch(net, schedule, x0.reshape(1, -1), steps, counter)
-    return BaselineResult(
-        score=float(scores[0]), nfe=counter.count - before, kind=DDIM_INVERSION
-    )

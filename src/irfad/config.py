@@ -152,4 +152,6 @@ def resolve_config(
     for key, raw in overrides.items():
         if raw is not None:
             config.set_key(key, raw)
+    if config.t_infer < 0:
+        raise ConfigError(f"t_infer must be >= 0 (0 = default), got {config.t_infer}")
     return config

@@ -15,8 +15,9 @@ Two generators, both deterministic functions of a seed:
   scaled to the evaluation resolution (nearest-neighbour blocks).
 
 On-disk layout of one split directory (documented bit-exactly):
-  manifest          key=value text: format_version, role, count, shape,
-                    mask_shape (when annotated), prov.* provenance entries
+  manifest          key=value text: format_version, role (train or test),
+                    count, shape, has_masks (true or false), mask_shape
+                    (when annotated), prov.* provenance entries
   samples.bin       count * prod(shape) finite float64, little-endian, row-major
   labels.bin        count bytes, 0 = normal, 1 = abnormal
   masks/masks.bin   count * H * W bytes of 0 or 1 (only when pixel-annotated)
@@ -57,6 +58,8 @@ class Dataset:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.uint8)
+        if self.role not in ("train", "test"):
+            raise DataError(f"role must be 'train' or 'test', got {self.role!r}")
         if self.labels.shape != (self.samples.shape[0],):
             raise DataError("labels must be one per sample")
         if np.any(self.labels > ABNORMAL):
@@ -258,10 +261,12 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             raise DataError(f"unsupported dataset format {manifest['format_version']}")
         count = int(manifest["count"])
         shape = tuple(int(s) for s in manifest["shape"].split(","))
-        has_masks = manifest["has_masks"] == "true"
+        has_masks = manifest["has_masks"]
         role = manifest["role"]
     except (KeyError, ValueError) as exc:
         raise DataError(f"bad manifest in {path}: {exc}") from exc
+    if has_masks not in ("true", "false"):
+        raise DataError(f"bad manifest in {path}: has_masks={has_masks!r}")
 
     def read_exact(name: str, nbytes: int) -> bytes:
         fpath = os.path.join(path, name)
@@ -280,7 +285,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         raise DataError(f"samples.bin in {path} holds non-finite values")
     labels = np.frombuffer(read_exact("labels.bin", count), dtype=np.uint8).copy()
     masks = None
-    if has_masks:
+    if has_masks == "true":
         try:
             H, W = (int(s) for s in manifest["mask_shape"].split(","))
         except (KeyError, ValueError) as exc:

@@ -13,6 +13,10 @@ regression target), so layer 0 skips its input gradient.
 
 Numpy ndarrays are the tensor carrier (row-major float64); finiteness is
 enforced at graph boundaries (`leaf`), interior ops trust their inputs.
+
+`silu_denominator` is the one SiLU of the package: the tape's `silu` and
+the inference forward (`NoisePredictor.forward_features`) both divide by
+it, so training and inference evaluate the activation the same way.
 """
 
 from __future__ import annotations
@@ -20,9 +24,21 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, NumericError, ShapeError
+
+
+def silu_denominator(x: np.ndarray) -> np.ndarray:
+    """1 + exp(-x) in a fresh array: SiLU(x) = x / d and sigmoid(x) = 1 / d.
+
+    Below about -709, exp(-x) overflows to inf, so SiLU is exactly 0 (or
+    -0.0) and the sigmoid exactly 0; that overflow is expected and silenced.
+    """
+    d = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(d, out=d)
+    d += 1.0
+    return d
 
 
 class Node:
@@ -64,8 +80,9 @@ class Tape:
     def silu(self, a: Node) -> Node:
         """Sigmoid-weighted activation x * sigmoid(x); smooth everywhere."""
         x = a.value
-        sig = expit(x)
-        out = x * sig
+        d = silu_denominator(x)
+        out = x / d
+        sig = 1.0 / d
 
         def backward(g):
             return (g * (sig * (1.0 + x * (1.0 - sig))),)

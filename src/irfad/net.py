@@ -33,7 +33,7 @@ from .errors import (
     ScheduleMismatchError,
     ShapeError,
 )
-from .grad import Node, Tape
+from .grad import Node, Tape, silu_denominator
 from .rng import make_rng
 from .schedule import NoiseSchedule, check_step
 
@@ -184,19 +184,14 @@ class NoisePredictor:
 
         Layer 0 reads the d input columns only; the step embedding's share
         of the pre-activation is already in `bias0` (see `folded_bias`).
-        SiLU runs in place as h / (1 + exp(-h)): a pre-activation below
-        about -709 overflows exp to inf and gives exactly 0, so that
-        overflow is silenced.
+        SiLU divides h in place by `silu_denominator(h)`, the helper the
+        training tape's `silu` uses too.
         """
         params = self.params
         h = x @ params[0][: self.spec.d]
         h += bias0
         for w, b in zip(params[2::2], params[3::2]):
-            denom = np.negative(h)
-            with np.errstate(over="ignore"):
-                np.exp(denom, out=denom)
-            denom += 1.0
-            h /= denom
+            h /= silu_denominator(h)
             h = h @ w
             h += b
         return h

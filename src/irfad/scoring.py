@@ -86,17 +86,12 @@ def feature_scale_maps(fields: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(fields * fields, axis=1))
 
 
-def feature_scale_map(delta: np.ndarray) -> np.ndarray:
-    """Channel-wise L2 norm at each location: (c, h, w) -> (h, w)."""
-    return feature_scale_maps(_check_field(delta)[None])[0]
-
-
 def score_map(delta: np.ndarray, target: tuple[int, int]) -> ScoreMap:
     """Pixel-level score map at feature scale, upsampled to `target`."""
     delta = _check_field(delta)
     c, h, w = delta.shape
     H, W = target
-    fmap = feature_scale_map(delta)
+    fmap = feature_scale_maps(delta[None])[0]
     return ScoreMap(
         feature_scale=fmap,
         full_scale=bilinear_upsample(fmap, H, W),

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from irfad.baselines import (
-    DDIM_INVERSION,
-    RECONSTRUCTION,
-    ddim_invert_score,
+    ddim_invert_batch,
+    draw_recon_noise,
     reconstruct_batch,
-    reconstruct_score,
     substep_grid,
 )
 from irfad.errors import ParameterError
@@ -38,34 +36,36 @@ def test_substep_grid_endpoints_and_monotonicity():
 
 
 def test_ddim_zero_net_closed_form(schedule, zero_net):
-    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    x0 = np.array([[1.0, -2.0, 0.5, 3.0]])
     for steps in (1, 3, 10):
-        res = ddim_invert_score(zero_net, schedule, x0, steps=steps)
+        counter = EvalCounter()
+        score = ddim_invert_batch(zero_net, schedule, x0, steps, counter)
         abar_T = schedule.alpha_bar(schedule.T)
-        assert res.score == pytest.approx(abar_T * np.sum(x0**2) / 2.0, rel=1e-10)
-        assert res.nfe == steps
-        assert res.kind == DDIM_INVERSION
+        assert score.shape == (1,)
+        assert score[0] == pytest.approx(abar_T * np.sum(x0**2) / 2.0, rel=1e-10)
+        assert counter.count == steps
 
 
 def test_ddim_deterministic(schedule, zero_net):
     rng = make_rng(0, "test-ddim")
     zero_net.params = [rng.standard_normal(p.shape) * 0.1 for p in zero_net.params]
-    x0 = rng.standard_normal(4)
-    a = ddim_invert_score(zero_net, schedule, x0, steps=3)
-    b = ddim_invert_score(zero_net, schedule, x0, steps=3)
-    assert a.score == b.score
+    x0 = rng.standard_normal((1, 4))
+    a = ddim_invert_batch(zero_net, schedule, x0, 3)
+    b = ddim_invert_batch(zero_net, schedule, x0, 3)
+    assert a[0] == b[0]
 
 
 def test_recon_zero_net_zero_noise_recovers_input(schedule, zero_net):
     # with eps_hat = 0 and all injected noise zero the chain is
     # x0 -> sqrt(abar) x0 -> x0, so the reconstruction error vanishes
-    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    x0 = np.array([[1.0, -2.0, 0.5, 3.0]])
     steps = 5
-    noise = (np.zeros(4), [np.zeros(4) for _ in range(steps - 1)])
-    res = reconstruct_score(zero_net, schedule, x0, t_start=500, steps=steps, noise=noise)
-    assert res.score == pytest.approx(0.0, abs=1e-18)
-    assert res.nfe == steps
-    assert res.kind == RECONSTRUCTION
+    noise = (np.zeros((1, 4)), [np.zeros((1, 4)) for _ in range(steps - 1)])
+    counter = EvalCounter()
+    score = reconstruct_batch(zero_net, schedule, x0, 500, steps, noise, counter)
+    assert score.shape == (1,)
+    assert score[0] == pytest.approx(0.0, abs=1e-18)
+    assert counter.count == steps
 
 
 def test_recon_zero_net_matches_closed_form_chain(schedule, zero_net):
@@ -86,51 +86,54 @@ def test_recon_zero_net_matches_closed_form_chain(schedule, zero_net):
             x = x + np.sqrt(beta_eff) * zs[steps - k]
     expected = np.mean((x0 - x) ** 2)
 
-    res = reconstruct_score(
-        zero_net, schedule, x0, t_start=t_start, steps=steps, noise=(jump, zs)
-    )
-    assert res.score == pytest.approx(expected, rel=1e-12)
-    assert res.score > 0.0
+    noise = (jump[None], [z[None] for z in zs])
+    score = reconstruct_batch(zero_net, schedule, x0[None], t_start, steps, noise)
+    assert score[0] == pytest.approx(expected, rel=1e-12)
+    assert score[0] > 0.0
 
 
 def test_recon_single_step_from_t1(schedule, zero_net):
-    res = reconstruct_score(
-        zero_net, schedule, np.ones(4), t_start=1, steps=1, noise=(np.zeros(4), [])
+    counter = EvalCounter()
+    reconstruct_batch(
+        zero_net, schedule, np.ones((1, 4)), 1, 1, (np.zeros((1, 4)), []), counter
     )
-    assert res.nfe == 1
+    assert counter.count == 1
 
 
 def test_recon_deterministic_given_rng_seed(schedule, zero_net):
-    x0 = np.ones(4)
-    a = reconstruct_score(
-        zero_net, schedule, x0, 300, 10, rng=make_rng(3, "recon-stream")
+    x0 = np.ones((1, 4))
+    a = reconstruct_batch(
+        zero_net, schedule, x0, 300, 10,
+        draw_recon_noise(make_rng(3, "recon-stream"), x0.shape, 10),
     )
-    b = reconstruct_score(
-        zero_net, schedule, x0, 300, 10, rng=make_rng(3, "recon-stream")
+    b = reconstruct_batch(
+        zero_net, schedule, x0, 300, 10,
+        draw_recon_noise(make_rng(3, "recon-stream"), x0.shape, 10),
     )
-    assert a.score == b.score
+    assert a[0] == b[0]
 
 
 def test_recon_step_budget_validation(schedule, zero_net):
-    with pytest.raises(ParameterError):
-        reconstruct_score(
-            zero_net, schedule, np.ones(4), t_start=5, steps=6,
-            rng=make_rng(0, "x")
-        )
-    with pytest.raises(ParameterError):
-        reconstruct_score(zero_net, schedule, np.ones(4), t_start=5, steps=1)
+    x0 = np.ones((1, 4))
     with pytest.raises(ParameterError):
         reconstruct_batch(
-            zero_net, schedule, np.ones((1, 4)), np.array([5]), 1, (np.zeros((1, 4)), [])
+            zero_net, schedule, x0, 5, 6,
+            draw_recon_noise(make_rng(0, "x"), x0.shape, 6),
+        )
+    with pytest.raises(ParameterError):
+        reconstruct_batch(zero_net, schedule, x0, 5, 0, (np.zeros((1, 4)), []))
+    with pytest.raises(ParameterError):
+        reconstruct_batch(
+            zero_net, schedule, x0, np.array([5]), 1, (np.zeros((1, 4)), [])
         )
 
 
 def test_counters_shared_with_scoring_context(schedule, zero_net):
     counter = EvalCounter()
-    ddim_invert_score(zero_net, schedule, np.ones(4), steps=3, counter=counter)
-    reconstruct_score(
-        zero_net, schedule, np.ones(4), 100, 7,
-        noise=(np.zeros(4), [np.zeros(4)] * 6), counter=counter,
+    ddim_invert_batch(zero_net, schedule, np.ones((1, 4)), 3, counter)
+    reconstruct_batch(
+        zero_net, schedule, np.ones((1, 4)), 100, 7,
+        (np.zeros((1, 4)), [np.zeros((1, 4))] * 6), counter,
     )
     assert counter.count == 10
 

@@ -321,6 +321,17 @@ def test_undecodable_config_exits_2(tmp_path):
     assert len(res.stderr.strip().splitlines()) == 1
 
 
+def test_negative_inference_step_exits_2(tmp_path):
+    cfg = write_config(tmp_path / "t.cfg", t_infer=-1)
+    for args in (("--t", "-7"), ("--config", cfg)):
+        out = tmp_path / args[0].strip("-")
+        res = run_cli("toy", *args, "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.strip().startswith("irfad: error: config:")
+        assert "t_infer" in res.stderr
+        assert not (out / "manifest").exists()
+
+
 def test_gen_without_generator_exits_2(tmp_path):
     res = run_cli("gen", "--out", str(tmp_path / "o"))
     assert res.returncode == 2
@@ -386,3 +397,14 @@ def test_manifest_names_its_command(command, tiny_blob_run, tmp_path):
     res = run_cli(command, "--config", cfg, "--out", str(out), "--seed", "3")
     assert res.returncode == 0, res.stderr
     assert (out / "manifest").read_text().startswith(f"command={command}\n")
+
+
+def test_import_loads_no_scipy():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, irfad.cli; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -3,10 +3,12 @@
 Each saved file is truncated and bit-flipped, then loaded again. A load
 may succeed (a flipped mantissa bit still leaves a finite value), but it
 must never escape with anything other than CheckpointError (checkpoints)
-or DataError (dataset splits), which the CLI maps to exit 3.
+or DataError (dataset splits), which the CLI maps to exit 3. A split that
+loads after a flip still has its masks and its role.
 """
 
 import numpy as np
+import pytest
 
 from irfad.data import gen_blobs, load_dataset, save_dataset
 from irfad.errors import CheckpointError, DataError
@@ -63,12 +65,26 @@ def test_corrupted_dataset_loads_or_raises_data_error(tmp_path):
     _, test = gen_blobs(2, 4, seed=0)
     root = tmp_path / "ds"
     save_dataset(test, root)
+
+    def load_whole():
+        loaded = load_dataset(root)
+        assert loaded.role == test.role
+        assert loaded.masks is not None
+
     strides = {"manifest": 1, "labels.bin": 1, "samples.bin": 61, "masks/masks.bin": 31}
     found = []
     for name, stride in strides.items():
         path = root / name
         size = path.stat().st_size
         positions = [*range(0, size, stride), size - 1]
-        found += escapes(path, positions, lambda: load_dataset(root), DataError)
+        found += escapes(path, positions, load_whole, DataError)
     assert found == []
     assert np.array_equal(load_dataset(root).samples, test.samples)
+    # bit 2 of the "r" in has_masks=true gives "tvue", bit 0 of the last "t"
+    # in role=test gives "tesu"
+    manifest = root / "manifest"
+    text = manifest.read_text()
+    for good, bad in (("has_masks=true", "has_masks=tvue"), ("role=test", "role=tesu")):
+        manifest.write_text(text.replace(good, bad))
+        with pytest.raises(DataError, match=bad.split("=")[0]):
+            load_dataset(root)

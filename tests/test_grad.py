@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,19 @@ def test_affine_identity():
     a = np.arange(6.0).reshape(2, 3)
     out = tape.affine(tape.leaf(np.eye(2)), tape.leaf(a), tape.leaf(np.zeros(3)))
     assert np.array_equal(out.value, a)
+
+
+def test_silu_saturates_to_zero_without_warning():
+    # exp(1000) overflows inside the shared SiLU helper; it must stay silent
+    x = np.array([-1000.0, -800.0, 0.0, 800.0])
+    tape = Tape()
+    a = tape.leaf(x, param=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = tape.silu(a)
+        grads = tape.backward(tape.mean_squared_error(out, tape.leaf(np.zeros(4))))
+    assert out.value.tolist() == [0.0, 0.0, 0.0, 800.0]
+    assert grads[a.id].tolist() == [0.0, 0.0, 0.0, 2.0 * 800.0 / 4.0]
 
 
 def test_backward_closed_form_linear():

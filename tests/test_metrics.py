@@ -316,9 +316,37 @@ def flood_regions_flat(masks):
     ]
 
 
+def snake(size):
+    """One region that winds through a (size, size) image: every other row
+    full, joined at alternating ends."""
+    mask = np.zeros((size, size), dtype=np.uint8)
+    mask[::2] = 1
+    for r in range(1, size, 2):
+        mask[r, -1 if r % 4 == 1 else 0] = 1
+    return mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mask_regions_match_flood_fill_property(data):
+    shape = tuple(data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 9), (1, 9)))
+    size = int(np.prod(shape))
+    density = data.draw(st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+    bits = data.draw(st.lists(st.floats(0, 1), min_size=size, max_size=size))
+    masks = (np.array(bits) < density).astype(np.uint8).reshape(shape)
+    got = [coords.tolist() for coords in _mask_regions(masks)]
+    assert got == flood_regions_flat(masks)
+
+
 def test_mask_regions_match_flood_fill():
     rng = make_rng(13, "test-mask-regions")
     cases = [(rng.random((4, 7, 9)) < p).astype(np.uint8) for p in (0.1, 0.3, 0.5, 0.8)]
+    cases.append(snake(32)[None])
+    singles = np.zeros((2, 5, 5), dtype=np.uint8)  # isolated pixels, corners included
+    singles[0, ::2, ::2] = 1
+    singles[1, 4, 4] = 1
+    cases.append(singles)
+    cases.append(np.ones((1, 1, 1), dtype=np.uint8))
     stacked = np.zeros((3, 3, 3), dtype=np.uint8)
     stacked[:2, 1, 1] = 1  # same (row, col) in consecutive images: two regions
     stacked[1, 0, 0] = 1  # a diagonal neighbour of (1, 1, 1): joins its region
@@ -334,6 +362,8 @@ def test_mask_regions_match_flood_fill():
         assert got == flood_regions_flat(masks)
     assert len(_mask_regions(stacked)) == 2
     assert len(_mask_regions(diagonal)) == 3
+    assert len(_mask_regions(snake(32)[None])) == 1
+    assert len(_mask_regions(singles)) == 10
 
 
 def test_aupro_monotone_in_fpr_limit():
