@@ -38,7 +38,7 @@ from .errors import (
     IrfadError,
     NumericError,
 )
-from .irf import DEFAULT_T_INFER_FEATURES, DEFAULT_T_INFER_TOY
+from .irf import DEFAULT_T_INFER_FEATURES, DEFAULT_T_INFER_TOY, MEAN_PATH, NOISY_STATE
 from .metrics import EvalReport, auroc, average_precision, f1_max, throughput
 from .net import NoisePredictor, load_checkpoint, save_checkpoint
 from .pipeline import (
@@ -80,13 +80,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_t(cfg: RunConfig, toy: bool) -> int:
-    if cfg.t_infer > 0:
-        return cfg.t_infer
-    default = DEFAULT_T_INFER_TOY if toy else DEFAULT_T_INFER_FEATURES
-    return min(default, cfg.T)
-
-
 def _load_run_dataset(path: str) -> Dataset:
     if not path:
         raise ConfigError("this command needs data=<dataset dir>")
@@ -115,7 +108,12 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     )
 
 
-def _make_scorer(cfg: RunConfig, kind: str, net, schedule, t_infer: int) -> Scorer:
+def _make_scorer(cfg: RunConfig, kind: str, net, schedule, dataset: Dataset) -> Scorer:
+    """A `kind` scorer at cfg.t_infer, or else the data's default step capped at T."""
+    t_infer = cfg.t_infer
+    if t_infer <= 0:
+        toy = len(dataset.sample_shape) == 1
+        t_infer = min(DEFAULT_T_INFER_TOY if toy else DEFAULT_T_INFER_FEATURES, cfg.T)
     return Scorer(
         kind,
         net,
@@ -129,14 +127,18 @@ def _make_scorer(cfg: RunConfig, kind: str, net, schedule, t_infer: int) -> Scor
     )
 
 
-def _scores_rows(table) -> list[list]:
+def _write_scores(out_dir: str, table) -> None:
+    """scores.csv: id, s and, for the IRF scorers, s_diff and s_nll."""
     rows = []
     for i in range(table.s.size):
         if table.s_diff is not None:
             rows.append([i, _fmt(table.s[i]), _fmt(table.s_diff[i]), _fmt(table.s_nll[i])])
         else:
             rows.append([i, _fmt(table.s[i]), "", ""])
-    return rows
+    atomic_write(
+        os.path.join(out_dir, "scores.csv"),
+        _csv_bytes(["id", "s", "s_diff", "s_nll"], rows),
+    )
 
 
 def _write_score_maps(out_dir: str, maps: np.ndarray) -> None:
@@ -217,21 +219,17 @@ def cmd_train(cfg: RunConfig) -> None:
 def cmd_score(cfg: RunConfig) -> None:
     net, schedule = _load_net(cfg)
     dataset = _load_run_dataset(cfg.data)
-    t_infer = _resolve_t(cfg, toy=len(dataset.sample_shape) == 1)
-    scorer = _make_scorer(cfg, cfg.scorer, net, schedule, t_infer)
+    scorer = _make_scorer(cfg, cfg.scorer, net, schedule, dataset)
     table = scorer(dataset.samples)
     if cfg.normalize_scores:
         normal = dataset.labels == 0
         calib = scorer(dataset.samples[normal])
         table.s = normalized_scores(table, calib)
-    atomic_write(
-        os.path.join(cfg.out, "scores.csv"),
-        _csv_bytes(["id", "s", "s_diff", "s_nll"], _scores_rows(table)),
-    )
+    _write_scores(cfg.out, table)
     if cfg.save_maps and table.deltas is not None:
         maps = pixel_maps(table, (cfg.up_height, cfg.up_width))
         _write_score_maps(cfg.out, maps)
-    print(f"scored {table.s.size} samples with {cfg.scorer} at t={t_infer}")
+    print(f"scored {table.s.size} samples with {cfg.scorer} at t={scorer.t_infer}")
 
 
 def _read_scores_csv(path: str) -> np.ndarray:
@@ -267,8 +265,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         )
     else:
         net, schedule = _load_net(cfg)
-        t_infer = _resolve_t(cfg, toy=len(dataset.sample_shape) == 1)
-        scorer = _make_scorer(cfg, cfg.scorer, net, schedule, t_infer)
+        scorer = _make_scorer(cfg, cfg.scorer, net, schedule, dataset)
         report, _ = evaluate_scorer(scorer, dataset, fpr_limit=cfg.fpr_limit)
     _write_report(cfg.out, report)
 
@@ -279,19 +276,15 @@ def cmd_toy(cfg: RunConfig) -> None:
     schedule = linear_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
     net, _ = _train_and_save(cfg, train_ds, schedule)
 
-    t_infer = _resolve_t(cfg, toy=True)
-    mean_scorer = _make_scorer(cfg, IRF_MEAN, net, schedule, t_infer)
-    noisy_scorer = _make_scorer(cfg, IRF_NOISY, net, schedule, t_infer)
+    mean_scorer = _make_scorer(cfg, IRF_MEAN, net, schedule, test_ds)
+    noisy_scorer = _make_scorer(cfg, IRF_NOISY, net, schedule, test_ds)
     report, mean_table = evaluate_scorer(mean_scorer, test_ds)
     noisy_table = noisy_scorer(test_ds.samples)
 
-    atomic_write(
-        os.path.join(cfg.out, "scores.csv"),
-        _csv_bytes(["id", "s", "s_diff", "s_nll"], _scores_rows(mean_table)),
-    )
+    _write_scores(cfg.out, mean_table)
     x0s = test_ds.samples.reshape(-1)
     lines = ["x0\tabs_delta\tlabel\tinput_kind"]
-    for table, kind in ((mean_table, "mean_path"), (noisy_table, "noisy_state")):
+    for table, kind in ((mean_table, MEAN_PATH), (noisy_table, NOISY_STATE)):
         amps = np.abs(table.deltas.reshape(-1))
         for i in range(x0s.size):
             lines.append(
@@ -305,10 +298,9 @@ def cmd_bench(cfg: RunConfig) -> None:
     """Compare scorer accuracy and speed on one dataset."""
     net, schedule = _load_net(cfg)
     dataset = _load_run_dataset(cfg.data)
-    t_infer = _resolve_t(cfg, toy=len(dataset.sample_shape) == 1)
     rows = []
     for kind in (IRF_MEAN, RECON, DDIM):
-        scorer = _make_scorer(cfg, kind, net, schedule, t_infer)
+        scorer = _make_scorer(cfg, kind, net, schedule, dataset)
         table = scorer(dataset.samples)
         rate, nfe = throughput(scorer, dataset.samples, repeats=cfg.bench_repeats)
         rows.append(

@@ -135,6 +135,8 @@ class NoisePredictor:
     ) -> "NoisePredictor":
         if d < 1 or any(h < 1 for h in hidden):
             raise ParameterError("layer widths must be positive")
+        if m < 2 or m % 2 != 0:
+            raise ParameterError(f"embedding dim must be even and >= 2, got {m}")
         if schedule.beta_start is None or schedule.beta_end is None:
             raise ParameterError("network creation requires a parameterized schedule")
         spec = NetSpec(
@@ -268,15 +270,49 @@ def save_checkpoint(net: NoisePredictor, path: str | os.PathLike) -> None:
     atomic_write(path, buf.getvalue())
 
 
+def _integer(header: dict, key: str, low: int | None = None) -> int:
+    value = header[key]
+    if type(value) is not int or (low is not None and value < low):  # bool is not int
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _header_spec(header) -> NetSpec:
+    """The NetSpec a checkpoint header records; ValueError if a field is mistyped
+    or out of range."""
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    hidden = header["hidden"]
+    if not isinstance(hidden, list) or any(type(h) is not int or h < 1 for h in hidden):
+        raise ValueError(f"hidden must be a list of integers >= 1, got {hidden!r}")
+    m = _integer(header, "m", 2)
+    if m % 2 != 0:
+        raise ValueError(f"m must be even, got {m}")
+    for key in ("beta_start", "beta_end"):
+        if type(header[key]) not in (int, float) or not math.isfinite(header[key]):
+            raise ValueError(f"{key} must be a finite number, got {header[key]!r}")
+    return NetSpec(
+        d=_integer(header, "d", 1),
+        hidden=tuple(hidden),
+        m=m,
+        T=_integer(header, "T", 1),
+        beta_start=header["beta_start"],
+        beta_end=header["beta_end"],
+        seed=_integer(header, "seed"),
+    )
+
+
 def load_checkpoint(
     path: str | os.PathLike, schedule: NoiseSchedule | None = None
 ) -> NoisePredictor:
     """Load a checkpoint; refuses version or schedule mismatches.
 
     When `schedule` is given, its T (and beta range, when parameterized)
-    must match the values recorded at save time. Parameter shapes that
-    disagree with the recorded d, hidden and m, and non-finite parameters,
-    make the file corrupt.
+    must match the values recorded at save time. A header that is not a
+    JSON object or holds a mistyped or out-of-range field (`_header_spec`),
+    parameter shapes that disagree with the recorded d, hidden and m, and
+    non-finite parameters make the file corrupt.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -292,15 +328,7 @@ def load_checkpoint(
         raise CorruptCheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-        spec = NetSpec(
-            d=header["d"],
-            hidden=tuple(header["hidden"]),
-            m=header["m"],
-            T=header["T"],
-            beta_start=header["beta_start"],
-            beta_end=header["beta_end"],
-            seed=header["seed"],
-        )
+        spec = _header_spec(header)
         shapes = [tuple(s) for s in header["param_shapes"]]
         expected = [s for pair in NoisePredictor.layer_shapes(spec) for s in pair]
     except (ValueError, KeyError, TypeError) as exc:
@@ -321,7 +349,7 @@ def load_checkpoint(
             raise ScheduleMismatchError(f"{path}: {'; '.join(mismatches)}")
     offset = 12 + hlen
     params = []
-    for shape in shapes:
+    for shape in expected:
         nbytes = int(np.prod(shape)) * 8
         chunk = raw[offset : offset + nbytes]
         if len(chunk) < nbytes:

@@ -2,9 +2,10 @@
 
 A Scorer wraps one scoring rule behind a uniform callable interface
 `scorer(samples, counter) -> ScoreTable`, processing the dataset in fixed
-batches. The residual-field scorers also retain per-sample fields so
-pixel-level score maps can be produced; the multi-step baselines return
-image scores only.
+batches. The residual-field scorers compute each batch through
+`irf.irf_mean` or `irf.irf_noisy`, which check one network evaluation per
+sample, and retain the per-sample fields so pixel-level score maps can be
+produced; the multi-step baselines return image scores only.
 
 Scoring a pass is deterministic for a given configuration: the noisy-state
 scorer re-derives its noise stream from (seed, pass label) on every call.
@@ -20,10 +21,11 @@ from . import baselines
 from .data import Dataset
 from .errors import ParameterError
 from .metrics import EvalReport, aupro, auroc, average_precision, f1_max
-from .net import EvalCounter, NoisePredictor, predict_noise
+from .irf import irf_mean, irf_noisy
+from .net import EvalCounter, NoisePredictor
 from .net import time_embedding  # noqa: F401 -- unused; perfbench/spans.py wraps this binding
 from .rng import make_rng
-from .schedule import NoiseSchedule, check_step, mean_path, q_sample
+from .schedule import NoiseSchedule, check_step
 from .scoring import bilinear_upsample, feature_scale_maps, image_scores
 
 IRF_MEAN = "irf-mean"
@@ -93,25 +95,27 @@ class Scorer:
                 f"dataset dim {X.shape[1]} != checkpoint dim {self.net.spec.d}"
             )
         if self.kind in (IRF_MEAN, IRF_NOISY):
-            return self._score_irf(X, cshape, counter)
+            return self._score_irf(X.reshape((n,) + cshape), counter)
         return self._score_baseline(X, counter)
 
     def _batches(self, n: int):
         for start in range(0, n, self.batch_size):
             yield start, min(start + self.batch_size, n)
 
-    def _score_irf(self, X, cshape, counter) -> ScoreTable:
-        n = X.shape[0]
-        t = self.t_infer
+    def _score_irf(self, fields, counter) -> ScoreTable:
+        eps = None
         if self.kind == IRF_NOISY:
-            eps = make_rng(self.noise_seed, "score-noisy").standard_normal(X.shape)
-            states = q_sample(self.schedule, X, t, eps)
-        else:
-            states = mean_path(self.schedule, X, t)
-        deltas = np.empty((n,) + tuple(cshape))
-        for start, stop in self._batches(n):
-            out = predict_noise(self.net, states[start:stop], t, counter)
-            deltas[start:stop] = out.reshape((-1,) + tuple(cshape))
+            eps = make_rng(self.noise_seed, "score-noisy").standard_normal(fields.shape)
+        deltas = np.empty(fields.shape)
+        for start, stop in self._batches(len(fields)):
+            x0 = fields[start:stop]
+            if eps is None:
+                res = irf_mean(self.net, self.schedule, x0, self.t_infer, counter)
+            else:
+                res = irf_noisy(
+                    self.net, self.schedule, x0, self.t_infer, eps[start:stop], counter
+                )
+            deltas[start:stop] = res.delta
         s_diff, s_nll = image_scores(deltas)
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
 

@@ -13,6 +13,7 @@ permutation, then per batch t-steps followed by noise).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,8 +46,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ParameterError("learning rate must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ParameterError(f"learning rate must be finite and >= 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ParameterError(
+                f"weight decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ParameterError(f"Adam eps must be finite and > 0, got {self.eps}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ParameterError("moment decay rates must lie in (0, 1)")
 

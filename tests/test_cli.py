@@ -1,4 +1,5 @@
 import csv
+import json
 import subprocess
 import sys
 
@@ -351,6 +352,41 @@ def test_training_divergence_exits_4(tmp_path):
     res = run_cli("train", "--config", cfg, "--out", str(tmp_path / "o"))
     assert res.returncode == 4
     assert res.stderr.strip().startswith("irfad: error: numeric:")
+
+
+def test_non_finite_learning_rate_exits_2(tmp_path):
+    train, _ = gen_toy(1)
+    small = Dataset(
+        samples=train.samples[:16], labels=train.labels[:16], masks=None, role="train"
+    )
+    save_dataset(small, tmp_path / "ds")
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(tmp_path / "ds"), epochs=1, batch_size=8,
+        hidden="8,8", embed_dim=4, lr="nan",
+    )
+    res = run_cli("train", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr
+    assert "learning rate" in res.stderr
+    assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
+
+def test_score_with_float_header_field_exits_3(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    raw = (root / "run" / "checkpoint.bin").read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + hlen])
+    header["m"] = float(header["m"])
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "float-m.bin"
+    bad.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(root / "data" / "test"), checkpoint=str(bad)
+    )
+    res = run_cli("score", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.strip().startswith("irfad: error: data:")
+    assert "m must be an integer" in res.stderr
 
 
 def test_scorer_flag_selects_baseline_with_empty_components(tiny_blob_run):

@@ -173,9 +173,12 @@ def test_embedding_constant_across_calls():
                           time_embedding(np.asarray(123), 16))
 
 
-def test_embedding_odd_dim_rejected():
+def test_embedding_odd_dim_rejected(schedule):
     with pytest.raises(ParameterError):
         time_embedding(np.asarray(5), 7)
+    for m in (7, 0):
+        with pytest.raises(ParameterError):
+            NoisePredictor.create(3, (16,), m, schedule, seed=0)
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -241,17 +244,58 @@ def test_checkpoint_nan_parameter_is_corrupt(tmp_path, net, schedule):
         load_checkpoint(path, schedule)
 
 
+def rewrite_header(path, edit):
+    """Replace a saved checkpoint's JSON header by edit(header)."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = edit(json.loads(raw[12 : 12 + hlen]))
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+
+
 def test_checkpoint_shapes_disagreeing_with_header_are_corrupt(tmp_path, net, schedule):
     path = tmp_path / "net.bin"
     save_checkpoint(net, path)
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[8:12], "little")
-    header = json.loads(raw[12 : 12 + hlen])
-    header["hidden"] = [128, 128]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    rewrite_header(path, lambda header: {**header, "hidden": [128, 128]})
     with pytest.raises(CorruptCheckpointError, match="param_shapes"):
         load_checkpoint(path, schedule)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("d", 3.0),
+        ("d", True),
+        ("d", 0),
+        ("m", 8.0),
+        ("m", 7),
+        ("m", 0),
+        ("T", 1000.0),
+        ("T", 0),
+        ("seed", "x"),
+        ("seed", 7.0),
+        ("hidden", [16.0, 16]),
+        ("hidden", [16, True]),
+        ("hidden", 16),
+        ("beta_start", "0.0001"),
+        ("beta_end", None),
+        ("beta_end", float("nan")),
+    ],
+)
+def test_checkpoint_mistyped_header_is_corrupt(tmp_path, net, key, value):
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    rewrite_header(path, lambda header: {**header, key: value})
+    with pytest.raises(CorruptCheckpointError, match=f"{key} must"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_must_be_an_object(tmp_path, net):
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    rewrite_header(path, lambda header: sorted(header.items()))
+    with pytest.raises(CorruptCheckpointError, match="JSON object"):
+        load_checkpoint(path)
 
 
 def test_trained_noise_stats_on_normal_data(toy_run):

@@ -119,6 +119,26 @@ def test_dim_mismatch_and_empty_dataset(schedule):
         train(net, np.zeros((0, 1)), schedule, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"lr": -1e-3},
+        {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
+        {"weight_decay": -1.0},
+        {"eps": 0.0},
+        {"eps": -1e-8},
+        {"eps": float("nan")},
+        {"eps": float("inf")},
+    ],
+)
+def test_bad_optimizer_settings_rejected(bad):
+    with pytest.raises(ParameterError):
+        TrainConfig(**bad)
+
+
 def test_toy_loss_below_regression_guard(toy_run):
     assert toy_run.log.final_loss < 1.05
     assert all(np.isfinite(v) and v >= 0 for v in toy_run.log.epoch_losses)
