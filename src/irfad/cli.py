@@ -6,8 +6,9 @@ for precedence). `main` creates the output directory, and once the command
 succeeds writes a `manifest` with the fully resolved configuration next to
 its artifacts. All files are written atomically through `data.atomic_write`.
 
-Exit codes: 0 success, 2 config error, 3 data/artifact error,
-4 numeric or training error. Failures print one machine-parsable line:
+Exit codes: 0 success, 2 config error, 3 data/artifact error (including
+a path the OS refuses, such as an `--out` that names a file), 4 numeric
+or training error. Failures print one machine-parsable line:
 `irfad: error: <kind>: <message>`.
 """
 
@@ -362,7 +363,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"irfad: error: config: {exc}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, OSError) as exc:
         print(f"irfad: error: data: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

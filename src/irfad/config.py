@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .rng import SEED_LIMIT
 
 
 def _parse_bool(value: str) -> bool:
@@ -27,9 +28,11 @@ def _parse_bool(value: str) -> bool:
 
 def _parse_ints(value: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in value.split(",") if part.strip())
+        return tuple(int(part) for part in value.split(","))
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {value!r}") from exc
+        raise ConfigError(
+            f"expected comma-separated integers with no empty entry, got {value!r}"
+        ) from exc
 
 
 @dataclass
@@ -131,6 +134,8 @@ def load_config_file(path: str | os.PathLike, config: RunConfig) -> RunConfig:
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -152,6 +157,8 @@ def resolve_config(
     for key, raw in overrides.items():
         if raw is not None:
             config.set_key(key, raw)
+    if not 0 <= config.seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be in [0, 2^64), got {config.seed}")
     if config.t_infer < 0:
         raise ConfigError(f"t_infer must be >= 0 (0 = default), got {config.t_infer}")
     return config

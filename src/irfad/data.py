@@ -156,6 +156,8 @@ def gen_blobs(
     c, h, w = dims
     if c < 1 or h < 1 or w < 1 or c * h * w > 512:
         raise ParameterError(f"dims {dims} invalid (need c*h*w <= 512)")
+    if not np.isfinite(anomaly.amplitude):
+        raise ParameterError(f"blob amplitude must be finite, got {anomaly.amplitude}")
     if not (1 <= anomaly.rows <= h and 1 <= anomaly.cols <= w):
         raise ParameterError(f"blob {anomaly.rows}x{anomaly.cols} does not fit {h}x{w}")
     if n_train < 1 or n_test < 2:

@@ -12,13 +12,17 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import ParameterError
+
+SEED_LIMIT = 1 << 64  # root seeds are in [0, 2^64): the key's high 64 bits
 
 
 def stream_key(seed: int, label: str) -> int:
+    if not 0 <= seed < SEED_LIMIT:
+        raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     low = int.from_bytes(digest[:8], "little")
-    return ((seed & _MASK64) << 64) | low
+    return (seed << 64) | low
 
 
 def make_rng(seed: int, label: str) -> np.random.Generator:

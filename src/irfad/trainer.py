@@ -129,6 +129,8 @@ def train(
     state = AdamState.zeros_like(net.params)
     rng = make_rng(cfg.seed, "train")
     log = TrainLog()
+    # row t-1 holds time_embedding(t, m), bit for bit: the map is elementwise in t
+    embed_table = time_embedding(np.arange(1, schedule.T + 1), net.spec.m)
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
         order = rng.permutation(n)
@@ -139,7 +141,7 @@ def train(
             t = rng.integers(1, schedule.T + 1, size=idx.size)
             eps = rng.standard_normal(xb.shape)
             xt = q_sample(schedule, xb, t, eps)
-            features = np.concatenate([xt, time_embedding(t, net.spec.m)], axis=1)
+            features = np.concatenate([xt, embed_table[t - 1]], axis=1)
 
             try:
                 # overflow surfaces as a non-finite loss, handled right below

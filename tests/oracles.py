@@ -190,3 +190,38 @@ def aupro_exhaustive(score_maps, masks, fpr_limit: float) -> float:
                 terms.append((fpr_limit - f0) * (p0 + pl) / 2.0)
             break
     return fsum(terms) / fpr_limit
+
+
+# -- bilinear upsampling ------------------------------------------------------
+
+
+def bilinear_four_gather(a, H: int, W: int) -> np.ndarray:
+    """Corner-aligned bilinear upsample by four 2-D corner gathers.
+
+    Target (I, J) reads the source at (I*(h-1)/(H-1), J*(w-1)/(W-1)); it
+    blends the two upper corners along the width, then the two lower ones,
+    then the two blends along the height.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    squeeze = a.ndim == 2
+    if squeeze:
+        a = a[None]
+    h, w = a.shape[1], a.shape[2]
+
+    def axis_coords(size_in, size_out):
+        if size_out == 1:
+            src = np.zeros(1)
+        else:
+            src = np.arange(size_out) * (size_in - 1) / (size_out - 1)
+        lo = np.floor(src).astype(np.intp)
+        hi = np.minimum(lo + 1, size_in - 1)
+        return lo, hi, src - lo
+
+    y0, y1, wy = axis_coords(h, H)
+    x0, x1, wx = axis_coords(w, W)
+    wy = wy[:, None]
+    wx = wx[None, :]
+    top = (1.0 - wx) * a[:, y0[:, None], x0[None, :]] + wx * a[:, y0[:, None], x1[None, :]]
+    bot = (1.0 - wx) * a[:, y1[:, None], x0[None, :]] + wx * a[:, y1[:, None], x1[None, :]]
+    out = (1.0 - wy) * top + wy * bot
+    return out[0] if squeeze else out

@@ -6,7 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from irfad.config import resolve_config
 from irfad.data import Dataset, gen_toy, load_dataset, save_dataset
+from irfad.errors import ConfigError, ParameterError
+from irfad.rng import make_rng
 
 
 def run_cli(*args, cwd=None):
@@ -331,6 +334,79 @@ def test_negative_inference_step_exits_2(tmp_path):
         assert res.stderr.strip().startswith("irfad: error: config:")
         assert "t_infer" in res.stderr
         assert not (out / "manifest").exists()
+
+
+def assert_one_error_line(res, kind):
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith(f"irfad: error: {kind}:"), res.stderr
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_exits_3(inside, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / "sub" if inside else taken
+    cfg = write_config(tmp_path / "c.cfg", data="blobs", n_train=4, n_test=4)
+    res = run_cli("gen", "--config", cfg, "--out", str(out))
+    assert res.returncode == 3, res.stderr
+    assert_one_error_line(res, "data")
+    assert taken.read_text() == "keep me\n"
+
+
+def test_checkpoint_naming_a_directory_exits_3(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(root / "data" / "test"), checkpoint=str(tmp_path)
+    )
+    out = tmp_path / "o"
+    res = run_cli("score", "--config", cfg, "--out", str(out))
+    assert res.returncode == 3, res.stderr
+    assert_one_error_line(res, "data")
+    assert not (out / "manifest").exists()
+    assert not (out / "scores.csv").exists()
+
+
+def test_config_naming_a_directory_exits_2(tmp_path):
+    out = tmp_path / "o"
+    res = run_cli("gen", "--config", str(tmp_path), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert_one_error_line(res, "config")
+    assert not (out / "manifest").exists()
+
+
+@pytest.mark.parametrize(
+    "command, values, kind, needle",
+    [
+        ("gen", dict(data="blobs", seed=-1), "config", "seed"),
+        ("gen", dict(data="blobs", seed=2**64), "config", "seed"),
+        ("train", dict(hidden="16,,16"), "config", "empty entry"),
+        ("train", dict(hidden=""), "config", "empty entry"),
+        ("gen", dict(data="blobs", n_train=4, n_test=4, blob_amplitude="inf"), "usage", "amplitude"),
+        ("gen", dict(data="blobs", n_train=4, n_test=4, blob_amplitude="nan"), "usage", "amplitude"),
+    ],
+    ids=["seed-negative", "seed-2^64", "hidden-empty-entry", "hidden-empty",
+         "amplitude-inf", "amplitude-nan"],
+)
+def test_bad_config_value_exits_2(command, values, kind, needle, tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", **values)
+    out = tmp_path / "o"
+    res = run_cli(command, "--config", cfg, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert_one_error_line(res, kind)
+    assert needle in res.stderr
+    assert not (out / "manifest").exists()
+    assert not (out / "train").exists()
+
+
+def test_seed_range_is_checked_where_it_enters():
+    assert resolve_config(None, {"seed": str(2**64 - 1)}).seed == 2**64 - 1
+    for seed in ("-1", str(2**64), str(2**70)):
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config(None, {"seed": seed})
+    for seed in (-1, 2**64):
+        with pytest.raises(ParameterError):
+            make_rng(seed, "x")
 
 
 def test_gen_without_generator_exits_2(tmp_path):

@@ -173,6 +173,21 @@ def test_embedding_constant_across_calls():
                           time_embedding(np.asarray(123), 16))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    T=st.integers(1, 2000),
+    half=st.integers(1, 64),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_embedding_table_rows_match_per_step_calls(T, half, n, seed):
+    # training indexes one table built per call with t - 1
+    m = 2 * half
+    t = make_rng(seed, "test-embed-table").integers(1, T + 1, size=n)
+    table = time_embedding(np.arange(1, T + 1), m)
+    assert np.array_equal(table[t - 1], time_embedding(t, m))
+
+
 def test_embedding_odd_dim_rejected(schedule):
     with pytest.raises(ParameterError):
         time_embedding(np.asarray(5), 7)

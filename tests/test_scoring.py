@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from irfad.errors import ParameterError, ShapeError
 from irfad.rng import make_rng
 from irfad.scoring import (
+    _axis_coords,
     bilinear_upsample,
     image_score,
     score_map,
 )
+from oracles import bilinear_four_gather
 
 
 def test_channel_norm_pythagorean():
@@ -48,6 +52,50 @@ def test_upsample_within_input_extrema():
         up = bilinear_upsample(a, 11, 6)
         assert up.min() >= a.min() - 1e-15
         assert up.max() <= a.max() + 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    dH=st.integers(0, 40),
+    dW=st.integers(0, 40),
+    scale=st.integers(-300, 300),
+    flat=st.booleans(),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_upsample_matches_four_gather_oracle(n, h, w, dH, dW, scale, flat, constant, seed):
+    rng = make_rng(seed, "test-up-prop")
+    a = rng.standard_normal((n, h, w)) * 10.0**scale
+    if constant:
+        a[:] = a[0, 0, 0]
+    if flat:
+        a = a[0]
+    H, W = h + dH, w + dW
+    up = bilinear_upsample(a, H, W)
+    assert up.shape == a.shape[:-2] + (H, W)
+    assert np.array_equal(up, bilinear_four_gather(a, H, W))
+    # corners land on source corners: weights exactly 1 and 0
+    corners = [0, -1]
+    assert np.array_equal(up[..., corners, :][..., corners], a[..., corners, :][..., corners])
+    # each pass is within 1.5 eps * max|a| of a convex blend (two rounded
+    # products, one rounded sum, and 1 - wt off by half an ulp), so two
+    # passes stay within 3 eps * max|a| of [min, max]; 4 eps adds headroom
+    # for second-order terms and subnormal rounding.
+    eps = np.finfo(np.float64).eps
+    slack = 4 * eps * np.abs(a).max() + 4 * np.finfo(np.float64).smallest_subnormal
+    assert up.min() >= a.min() - slack
+    assert up.max() <= a.max() + slack
+
+
+def test_cached_axis_coords_are_read_only():
+    for arr in _axis_coords(4, 9):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert _axis_coords(4, 9) is _axis_coords(4, 9)
 
 
 def test_upsample_rejects_shrinking():
