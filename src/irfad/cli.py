@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 
@@ -67,18 +66,20 @@ def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
     _write_text(os.path.join(out_dir, "manifest"), lines)
 
 
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
+def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
+    """A run table: the header, then one `sep`-joined line per row.
 
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip decimal form
-    return str(value)
+    `columns` holds one sequence per header field. An ndarray column is
+    written through `tolist()` and `repr`, so a float is its shortest
+    round-trip decimal; any other column through `str`. No field holds a
+    separator, a quote or a newline, so nothing is quoted.
+    """
+    cells = [
+        map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(str, col)
+        for col in columns
+    ]
+    lines = [sep.join(header), *map(sep.join, zip(*cells))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _load_run_dataset(path: str) -> Dataset:
@@ -130,15 +131,39 @@ def _make_scorer(cfg: RunConfig, kind: str, net, schedule, dataset: Dataset) -> 
 
 def _write_scores(out_dir: str, table) -> None:
     """scores.csv: id, s and, for the IRF scorers, s_diff and s_nll."""
-    rows = []
-    for i in range(table.s.size):
-        if table.s_diff is not None:
-            rows.append([i, _fmt(table.s[i]), _fmt(table.s_diff[i]), _fmt(table.s_nll[i])])
-        else:
-            rows.append([i, _fmt(table.s[i]), "", ""])
+    n = table.s.size
+    if table.s_diff is not None:
+        components = [table.s_diff, table.s_nll]
+    else:
+        components = [[""] * n, [""] * n]
     atomic_write(
         os.path.join(out_dir, "scores.csv"),
-        _csv_bytes(["id", "s", "s_diff", "s_nll"], rows),
+        _table_bytes(["id", "s", "s_diff", "s_nll"], [range(n), table.s, *components]),
+    )
+
+
+def _write_trajectories(out_dir: str, dataset: Dataset, tables) -> None:
+    """trajectories.tsv: x0, |delta|, label and input kind; one block per (table, kind)."""
+    k = len(tables)
+    columns = [
+        np.tile(dataset.samples.reshape(-1), k),
+        np.concatenate([np.abs(table.deltas.reshape(-1)) for table, _ in tables]),
+        np.tile(dataset.labels, k),
+        [kind for _, kind in tables for _ in range(len(dataset))],
+    ]
+    atomic_write(
+        os.path.join(out_dir, "trajectories.tsv"),
+        _table_bytes(["x0", "abs_delta", "label", "input_kind"], columns, sep="\t"),
+    )
+
+
+def _write_trainlog(out_dir: str, log) -> None:
+    """trainlog.csv: epoch, mean loss and seconds."""
+    epochs = range(1, len(log.epoch_losses) + 1)
+    columns = [epochs, np.array(log.epoch_losses), np.array(log.epoch_seconds)]
+    atomic_write(
+        os.path.join(out_dir, "trainlog.csv"),
+        _table_bytes(["epoch", "mean_loss", "seconds"], columns),
     )
 
 
@@ -163,7 +188,7 @@ def _write_report(out_dir: str, report: EvalReport) -> None:
     rows = report.rows()
     atomic_write(
         os.path.join(out_dir, "eval.csv"),
-        _csv_bytes(["metric", "value"], [list(row) for row in rows]),
+        _table_bytes(["metric", "value"], list(zip(*rows))),
     )
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -198,14 +223,7 @@ def _train_and_save(cfg: RunConfig, train_ds: Dataset, schedule):
     net = NoisePredictor.create(d, cfg.hidden, cfg.embed_dim, schedule, cfg.seed)
     net, log = train(net, train_ds, schedule, _train_config(cfg))
     save_checkpoint(net, os.path.join(cfg.out, "checkpoint.bin"))
-    rows = [
-        [epoch + 1, _fmt(loss), _fmt(secs)]
-        for epoch, (loss, secs) in enumerate(zip(log.epoch_losses, log.epoch_seconds))
-    ]
-    atomic_write(
-        os.path.join(cfg.out, "trainlog.csv"),
-        _csv_bytes(["epoch", "mean_loss", "seconds"], rows),
-    )
+    _write_trainlog(cfg.out, log)
     return net, log
 
 
@@ -233,7 +251,22 @@ def cmd_score(cfg: RunConfig) -> None:
     print(f"scored {table.s.size} samples with {cfg.scorer} at t={scorer.t_infer}")
 
 
+def _check_ids(path: str, ids: list) -> None:
+    """Row i must carry id i, so that it scores the dataset's sample i."""
+    for i, text in enumerate(ids):
+        try:
+            ok = int(text) == i
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise DataError(
+                f"{path}: row {i + 1} has id {text!r}; "
+                f"ids must be 0..{len(ids) - 1} in row order"
+            )
+
+
 def _read_scores_csv(path: str) -> np.ndarray:
+    """The `s` column of a scores CSV; an `id` column, if any, is checked."""
     if not os.path.exists(path):
         raise DataError(f"scores csv not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -241,11 +274,14 @@ def _read_scores_csv(path: str) -> np.ndarray:
         try:
             if reader.fieldnames is None or "s" not in reader.fieldnames:
                 raise DataError(f"{path}: missing 's' column")
-            scores = np.array([float(row["s"]) for row in reader])
+            rows = list(reader)
+            scores = np.array([float(row["s"]) for row in rows])
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: bad score value ({exc})") from exc
+    if "id" in reader.fieldnames:
+        _check_ids(path, [row["id"] for row in rows])
     if not np.all(np.isfinite(scores)):
         raise DataError(f"{path}: non-finite score values")
     return scores
@@ -283,15 +319,8 @@ def cmd_toy(cfg: RunConfig) -> None:
     noisy_table = noisy_scorer(test_ds.samples)
 
     _write_scores(cfg.out, mean_table)
-    x0s = test_ds.samples.reshape(-1)
-    lines = ["x0\tabs_delta\tlabel\tinput_kind"]
-    for table, kind in ((mean_table, MEAN_PATH), (noisy_table, NOISY_STATE)):
-        amps = np.abs(table.deltas.reshape(-1))
-        for i in range(x0s.size):
-            lines.append(
-                f"{_fmt(x0s[i])}\t{_fmt(amps[i])}\t{int(test_ds.labels[i])}\t{kind}"
-            )
-    _write_text(os.path.join(cfg.out, "trajectories.tsv"), lines)
+    fields = ((mean_table, MEAN_PATH), (noisy_table, NOISY_STATE))
+    _write_trajectories(cfg.out, test_ds, fields)
     _write_report(cfg.out, report)
 
 
@@ -299,25 +328,28 @@ def cmd_bench(cfg: RunConfig) -> None:
     """Compare scorer accuracy and speed on one dataset."""
     net, schedule = _load_net(cfg)
     dataset = _load_run_dataset(cfg.data)
-    rows = []
-    for kind in (IRF_MEAN, RECON, DDIM):
+    kinds = (IRF_MEAN, RECON, DDIM)
+    accuracy, nfes, rates = [], [], []
+    for kind in kinds:
         scorer = _make_scorer(cfg, kind, net, schedule, dataset)
         table = scorer(dataset.samples)
         rate, nfe = throughput(scorer, dataset.samples, repeats=cfg.bench_repeats)
-        rows.append(
+        accuracy.append(
             [
-                kind,
-                _fmt(auroc(table.s, dataset.labels)),
-                _fmt(average_precision(table.s, dataset.labels)),
-                _fmt(f1_max(table.s, dataset.labels)),
-                nfe,
-                _fmt(rate),
+                auroc(table.s, dataset.labels),
+                average_precision(table.s, dataset.labels),
+                f1_max(table.s, dataset.labels),
             ]
         )
+        nfes.append(nfe)
+        rates.append(rate)
         print(f"{kind}: nfe={nfe} rate={rate:.1f}/s")
     atomic_write(
         os.path.join(cfg.out, "bench.csv"),
-        _csv_bytes(["scorer", "auroc", "ap", "f1_max", "nfe", "samples_per_sec"], rows),
+        _table_bytes(
+            ["scorer", "auroc", "ap", "f1_max", "nfe", "samples_per_sec"],
+            [kinds, *np.array(accuracy).T, nfes, np.array(rates)],
+        ),
     )
 
 

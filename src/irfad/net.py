@@ -186,11 +186,14 @@ class NoisePredictor:
 
         Layer 0 reads the d input columns only; the step embedding's share
         of the pre-activation is already in `bias0` (see `folded_bias`).
+        With d = 1 it is the broadcast product `x * W0[0]`: each entry is
+        the one product the (n, 1) @ (1, h0) matmul forms, at half its cost.
         SiLU divides h in place by `silu_denominator(h)`, the helper the
         training tape's `silu` uses too.
         """
         params = self.params
-        h = x @ params[0][: self.spec.d]
+        d = self.spec.d
+        h = x * params[0][0] if d == 1 else x @ params[0][:d]
         h += bias0
         for w, b in zip(params[2::2], params[3::2]):
             h /= silu_denominator(h)

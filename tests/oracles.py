@@ -1,10 +1,13 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values by brute force (pair counting,
-exhaustive threshold sweeps, central finite differences, flood fill) and
-deliberately avoids the library's own code paths.
+exhaustive threshold sweeps, central finite differences, flood fill,
+row-at-a-time `csv.writer` tables) and deliberately avoids the library's
+own code paths.
 """
 
+import csv
+import io
 from math import fsum
 
 import numpy as np
@@ -225,3 +228,51 @@ def bilinear_four_gather(a, H: int, W: int) -> np.ndarray:
     bot = (1.0 - wx) * a[:, y1[:, None], x0[None, :]] + wx * a[:, y1[:, None], x1[None, :]]
     out = (1.0 - wy) * top + wy * bot
     return out[0] if squeeze else out
+
+
+# -- run tables ---------------------------------------------------------------
+#
+# The CLI's former row-at-a-time writers: every float through `_fmt`, every
+# row through `csv.writer` (trajectories.tsv was joined with tabs by hand).
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def scores_csv_rows(table) -> bytes:
+    rows = []
+    for i in range(table.s.size):
+        if table.s_diff is not None:
+            rows.append([i, _fmt(table.s[i]), _fmt(table.s_diff[i]), _fmt(table.s_nll[i])])
+        else:
+            rows.append([i, _fmt(table.s[i]), "", ""])
+    return _csv_bytes(["id", "s", "s_diff", "s_nll"], rows)
+
+
+def trajectories_tsv_rows(samples, labels, tables) -> bytes:
+    x0s = samples.reshape(-1)
+    lines = ["x0\tabs_delta\tlabel\tinput_kind"]
+    for table, kind in tables:
+        amps = np.abs(table.deltas.reshape(-1))
+        for i in range(x0s.size):
+            lines.append(f"{_fmt(x0s[i])}\t{_fmt(amps[i])}\t{int(labels[i])}\t{kind}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def trainlog_csv_rows(losses, seconds) -> bytes:
+    rows = [
+        [epoch + 1, _fmt(loss), _fmt(secs)]
+        for epoch, (loss, secs) in enumerate(zip(losses, seconds))
+    ]
+    return _csv_bytes(["epoch", "mean_loss", "seconds"], rows)

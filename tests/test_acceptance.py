@@ -12,7 +12,7 @@ import numpy as np
 from irfad.irf import irf_mean, irf_noisy
 from irfad.metrics import auroc, throughput
 from irfad.net import EvalCounter, predict_noise
-from irfad.pipeline import DDIM, IRF_MEAN, IRF_NOISY, RECON, Scorer
+from irfad.pipeline import DDIM, IRF_MEAN, IRF_NOISY, RECON, Scorer, evaluate_scorer
 from irfad.rng import make_rng
 from irfad.schedule import q_sample
 
@@ -235,4 +235,40 @@ def test_c10_determinism(tmp_path):
         all(same.values()),
         "bitwise-identical across two runs: "
         + ", ".join(f"{f}={v}" for f, v in same.items()),
+    )
+
+
+def test_c11_neighbouring_steps(toy_run, blob_run):
+    # The abstract's claim: the IRF holds at any step near t*, so the bounds
+    # of C1 (toy) and C9 (blobs) hold at t* +- 25 and t* +- 50 as well.
+    offsets = (-50, -25, 0, 25, 50)
+    toy = []
+    for dt in offsets:
+        scorer = Scorer(
+            IRF_MEAN, toy_run.net, toy_run.schedule,
+            t_infer=toy_run.t_infer + dt, batch_size=256,
+        )
+        toy.append(auroc(scorer(toy_run.test.samples).s, toy_run.test.labels))
+    pixel = []
+    for dt in offsets:
+        scorer = Scorer(
+            IRF_MEAN, blob_run.net, blob_run.schedule,
+            t_infer=blob_run.t_infer + dt, batch_size=256,
+        )
+        report, _ = evaluate_scorer(scorer, blob_run.test)
+        pixel.append((report.pixel_auroc, report.pixel_aupro))
+    spread = max(toy) - min(toy)
+    ok = (
+        min(toy) >= 0.95
+        and spread <= 0.01
+        and all(a >= 0.9 and pro >= 0.7 for a, pro in pixel)
+    )
+    criterion(
+        "C11 neighbouring steps",
+        ok,
+        f"t*{'/'.join(f'{dt:+d}' for dt in offsets)}: "
+        f"toy AUROC {'/'.join(f'{v:.4f}' for v in toy)} (>=0.95, spread "
+        f"{spread:.4f} <=0.01); blobs pixel AUROC "
+        f"{'/'.join(f'{a:.4f}' for a, _ in pixel)} (>=0.9), AU-PRO "
+        f"{'/'.join(f'{p:.4f}' for _, p in pixel)} (>=0.7)",
     )

@@ -2,14 +2,23 @@ import csv
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irfad import cli
 from irfad.config import resolve_config
 from irfad.data import Dataset, gen_toy, load_dataset, save_dataset
 from irfad.errors import ConfigError, ParameterError
+from irfad.pipeline import ScoreTable
 from irfad.rng import make_rng
+from irfad.trainer import TrainLog
+
+from oracles import scores_csv_rows, trainlog_csv_rows, trajectories_tsv_rows
 
 
 def run_cli(*args, cwd=None):
@@ -316,6 +325,44 @@ def test_eval_with_undecodable_scores_csv_exits_3(tmp_path):
     assert "UTF-8" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "header, ids, code",
+    [
+        ("id,s", [str(i) for i in range(32)], 0),
+        ("s", None, 0),
+        ("id,s", [str(i) for i in reversed(range(32))], 3),
+        ("id,s", ["0", "0"] + [str(i) for i in range(2, 32)], 3),
+        ("id,s", [f"{i}.0" for i in range(32)], 3),
+    ],
+    ids=["in-order", "no-id-column", "reversed", "duplicated", "non-integer"],
+)
+def test_eval_scores_csv_ids_must_run_in_row_order(header, ids, code, tmp_path):
+    # rows 5984..6015 of the toy test split: 16 normal, then 16 abnormal
+    _, test = gen_toy(0)
+    split = Dataset(
+        samples=test.samples[5984:6016], labels=test.labels[5984:6016], masks=None
+    )
+    save_dataset(split, tmp_path / "ds")
+    scores = split.labels + 0.25
+    if ids is None:
+        rows = [repr(v) for v in scores.tolist()]
+    else:
+        rows = [f"{i},{v!r}" for i, v in zip(ids, scores.tolist())]
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text("\n".join([header, *rows]) + "\n")
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(tmp_path / "ds"), scores_csv=str(scores_path)
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == code, res.stderr
+    if code:
+        assert res.stderr.strip().startswith("irfad: error: data:")
+        assert "in row order" in res.stderr
+        assert not (tmp_path / "o" / "manifest").exists()
+    else:
+        assert "image_auroc  1.0" in res.stdout
+
+
 def test_undecodable_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"data = blobs\nn_train = 4\xff\n")
@@ -509,6 +556,54 @@ def test_manifest_names_its_command(command, tiny_blob_run, tmp_path):
     res = run_cli(command, "--config", cfg, "--out", str(out), "--seed", "3")
     assert res.returncode == 0, res.stderr
     assert (out / "manifest").read_text().startswith(f"command={command}\n")
+
+
+# -- run tables ------------------------------------------------------------------
+
+# Normal draws, any magnitude from subnormal to near the largest double, and
+# both zeros.
+_FIELD = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.tuples(st.floats(1e-320, 1e308), st.booleans()).map(lambda t: -t[0] if t[1] else t[0]),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, sys.float_info.max]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_tables_keep_the_row_writers_bytes(data):
+    n = data.draw(st.integers(1, 40), label="rows")
+    column = st.lists(_FIELD, min_size=n, max_size=n).map(np.array)
+    s = data.draw(column, label="s")
+    if data.draw(st.booleans(), label="irf"):
+        table = ScoreTable(s, data.draw(column), data.draw(column))
+    else:
+        table = ScoreTable(s)
+    split = Dataset(
+        samples=data.draw(column).reshape(n, 1),
+        labels=data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        masks=None,
+    )
+    fields = [
+        (ScoreTable(s, deltas=data.draw(column).reshape(n, 1, 1, 1)), kind)
+        for kind in ("mean_path", "noisy_state")
+    ]
+    log = TrainLog(data.draw(column).tolist(), data.draw(column).tolist())
+    with tempfile.TemporaryDirectory() as out:
+        cli._write_scores(out, table)
+        cli._write_trajectories(out, split, fields)
+        cli._write_trainlog(out, log)
+        path = Path(out)
+        assert (path / "scores.csv").read_bytes() == scores_csv_rows(table)
+        assert (path / "trajectories.tsv").read_bytes() == trajectories_tsv_rows(
+            split.samples, split.labels, fields
+        )
+        assert (path / "trainlog.csv").read_bytes() == trainlog_csv_rows(
+            log.epoch_losses, log.epoch_seconds
+        )
+        back = cli._read_scores_csv(str(path / "scores.csv"))
+    assert np.all(back == table.s)
+    assert back.tobytes() == table.s.tobytes()
 
 
 def test_import_loads_no_scipy():

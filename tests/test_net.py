@@ -13,7 +13,7 @@ from irfad.errors import (
     ScheduleMismatchError,
     ShapeError,
 )
-from irfad.grad import Tape
+from irfad.grad import Tape, silu_denominator
 from irfad.net import (
     CHECKPOINT_MAGIC,
     EvalCounter,
@@ -75,6 +75,35 @@ def test_predict_batched_matches_single(n, d, t, seed):
     for i in range(n):
         assert np.allclose(batched[i], predict_noise(net, xs[i], t),
                            rtol=1e-12, atol=1e-14)
+
+
+def matmul_layer0_forward(net, x, t):
+    """The inference forward with layer 0 as the (n, d) @ (d, h0) matmul."""
+    h = x @ net.params[0][: net.spec.d] + net.folded_bias(t)
+    for w, b in zip(net.params[2::2], net.params[3::2]):
+        h = (h / silu_denominator(h)) @ w + b
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    hidden=st.lists(st.integers(1, 160), max_size=2),
+    scale=st.integers(-300, 300),
+    t=st.integers(1, 1000),
+    seed=st.integers(0, 2**16),
+)
+def test_d1_layer0_broadcast_matches_the_matmul(n, hidden, scale, t, seed):
+    # d = 1 takes x * W0[0]; with no hidden layer predict_noise is exactly
+    # x @ W0[:1] + bias. Huge inputs may overflow later layers to NaN.
+    net = randomized(NoisePredictor.create(1, tuple(hidden), 8, linear_schedule(1000), seed=7))
+    x = make_rng(seed, "test-d1").standard_normal((n, 1)) * 10.0**scale
+    with np.errstate(all="ignore"):
+        got = predict_noise(net, x, t)
+        want = matmul_layer0_forward(net, x, t)
+    assert np.array_equal(got, want, equal_nan=True)
+    if not hidden:
+        assert np.all(got == x @ net.params[0][:1] + net.folded_bias(t))
 
 
 def test_counter_counts_rows(net):
