@@ -39,7 +39,7 @@ from .errors import (
     NumericError,
 )
 from .irf import DEFAULT_T_INFER_FEATURES, DEFAULT_T_INFER_TOY, MEAN_PATH, NOISY_STATE
-from .metrics import EvalReport, auroc, average_precision, f1_max, throughput
+from .metrics import EvalReport, auroc, average_precision, f1_max, shared_ranking, throughput
 from .net import NoisePredictor, load_checkpoint, save_checkpoint
 from .pipeline import (
     DDIM,
@@ -266,22 +266,36 @@ def _check_ids(path: str, ids: list) -> None:
 
 
 def _read_scores_csv(path: str) -> np.ndarray:
-    """The `s` column of a scores CSV; an `id` column, if any, is checked."""
+    """The `s` column of a scores CSV; an `id` column, if any, is checked.
+
+    Blank lines are skipped. A row must reach the `s` and `id` columns.
+    """
     if not os.path.exists(path):
         raise DataError(f"scores csv not found: {path}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None or "s" not in reader.fieldnames:
+            header = next(reader, [])
+            if "s" not in header:
                 raise DataError(f"{path}: missing 's' column")
-            rows = list(reader)
-            scores = np.array([float(row["s"]) for row in rows])
+            rows = [row for row in reader if row]
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: bad score value ({exc})") from exc
-    if "id" in reader.fieldnames:
-        _check_ids(path, [row["id"] for row in rows])
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DataError(f"{path}: malformed CSV ({exc})") from exc
+    column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    s_col = column["s"]
+    id_col = column.get("id", s_col)
+    needed = max(s_col, id_col) + 1
+    for i, row in enumerate(rows):
+        if len(row) < needed:
+            raise DataError(f"{path}: row {i + 1} has {len(row)} fields, needs {needed}")
+    try:
+        scores = np.array([float(row[s_col]) for row in rows])
+    except ValueError as exc:
+        raise DataError(f"{path}: bad score value ({exc})") from exc
+    if "id" in column:
+        _check_ids(path, [row[id_col] for row in rows])
     if not np.all(np.isfinite(scores)):
         raise DataError(f"{path}: non-finite score values")
     return scores
@@ -295,11 +309,12 @@ def cmd_eval(cfg: RunConfig) -> None:
             raise DataError(
                 f"{cfg.scores_csv} has {scores.size} rows, dataset has {len(dataset)}"
             )
-        report = EvalReport(
-            image_auroc=auroc(scores, dataset.labels),
-            image_ap=average_precision(scores, dataset.labels),
-            image_f1=f1_max(scores, dataset.labels),
-        )
+        with shared_ranking():
+            report = EvalReport(
+                image_auroc=auroc(scores, dataset.labels),
+                image_ap=average_precision(scores, dataset.labels),
+                image_f1=f1_max(scores, dataset.labels),
+            )
     else:
         net, schedule = _load_net(cfg)
         scorer = _make_scorer(cfg, cfg.scorer, net, schedule, dataset)
@@ -334,13 +349,14 @@ def cmd_bench(cfg: RunConfig) -> None:
         scorer = _make_scorer(cfg, kind, net, schedule, dataset)
         table = scorer(dataset.samples)
         rate, nfe = throughput(scorer, dataset.samples, repeats=cfg.bench_repeats)
-        accuracy.append(
-            [
-                auroc(table.s, dataset.labels),
-                average_precision(table.s, dataset.labels),
-                f1_max(table.s, dataset.labels),
-            ]
-        )
+        with shared_ranking():
+            accuracy.append(
+                [
+                    auroc(table.s, dataset.labels),
+                    average_precision(table.s, dataset.labels),
+                    f1_max(table.s, dataset.labels),
+                ]
+            )
         nfes.append(nfe)
         rates.append(rate)
         print(f"{kind}: nfe={nfe} rate={rate:.1f}/s")

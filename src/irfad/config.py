@@ -161,4 +161,6 @@ def resolve_config(
         raise ConfigError(f"seed must be in [0, 2^64), got {config.seed}")
     if config.t_infer < 0:
         raise ConfigError(f"t_infer must be >= 0 (0 = default), got {config.t_infer}")
+    if not 0.0 < config.fpr_limit <= 1.0:  # also refuses nan
+        raise ConfigError(f"fpr_limit must lie in (0, 1], got {config.fpr_limit}")
     return config

@@ -10,6 +10,10 @@ are reproducible to the bit and can be checked against brute-force
 oracles with equality rather than tolerances.
 Non-finite scores are refused with NumericError.
 
+Inside a `shared_ranking()` block, metrics called on equal checked inputs
+(one evaluation's AUROC, AP, F1-max and AU-PRO) read one sort: `_sweep`
+keeps its last curve until the block ends.
+
 Conventions:
 * auroc: the Mann-Whitney U over n_pos * n_neg (the trapezoidal ROC
   area), a positive tied with a negative counting one half.
@@ -22,8 +26,10 @@ Conventions:
   at (0, 0) and region order is canonical (image index, then first pixel
   in row-major order). The regions come from one NumPy labeling of the
   whole stack (minimum-label propagation with pointer jumping, see
-  `_mask_regions`), and their recalls are summed only at the thresholds
-  where some region pixel sits; between those the sum cannot change.
+  `_mask_regions`). The recall sum is formed only at the thresholds where
+  some region pixel sits (between them it cannot change): each region
+  pixel gets the index of its own such threshold, and a region of m
+  pixels reads i / m from its i-th index to the next.
 * throughput: median samples/sec over `repeats` timed passes after one
   warm-up pass; NFE comes from the evaluation counter.
 """
@@ -31,6 +37,8 @@ Conventions:
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import fsum
 
@@ -55,16 +63,15 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels.astype(np.int64)
 
 
-def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ranking(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ranking curve: distinct scores, descending, with cumulative TP, FP.
 
     Entry k counts the samples scored >= thresholds[k], i.e. what is
-    predicted positive at that threshold. Every ranking metric reads this
-    one sort. Only tie-group ends are read (the group's value, the running
-    positive count and the position there), so the order inside a group
-    cannot change the result and the sort need not be stable; `+ 0.0`
-    turns a -0.0 that ends a group tied with 0.0 into 0.0, so the arrays
-    depend on the multiset of (score, label) pairs alone.
+    predicted positive at that threshold. Only tie-group ends are read (the
+    group's value, the running positive count and the position there), so
+    the order inside a group cannot change the result and the sort need not
+    be stable; `+ 0.0` turns a -0.0 that ends a group tied with 0.0 into
+    0.0, so the arrays depend on the multiset of (score, label) pairs alone.
     """
     order = np.argsort(-scores)
     ranked = scores[order]
@@ -72,6 +79,46 @@ def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tp = np.cumsum(labels[order])[last]
     fp = np.flatnonzero(last) + 1 - tp
     return ranked[last] + 0.0, tp, fp
+
+
+# The innermost open `shared_ranking` block's last sweep: [] or
+# [scores copy, labels copy, curve]; None outside every block.
+_shared: ContextVar[list | None] = ContextVar("irfad_shared_ranking", default=None)
+
+
+@contextmanager
+def shared_ranking():
+    """Within the block, metrics on equal scores and labels share one sweep.
+
+    `_sweep` keeps its last inputs (copied, so a caller that changes its
+    array in place gets a fresh curve) and its read-only curve until the
+    block ends, normally or by an exception. Outside every block nothing is
+    kept.
+    """
+    token = _shared.set([])
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ranking curve every ranking metric reads (see `_ranking`).
+
+    Inside a `shared_ranking` block it is the block's last curve when the
+    inputs equal that curve's inputs; `np.array_equal` takes -0.0 for 0.0,
+    which `_ranking` ties anyway, so equal inputs have equal curves.
+    """
+    entry = _shared.get()
+    if entry is None:
+        return _ranking(scores, labels)
+    if entry and np.array_equal(entry[0], scores) and np.array_equal(entry[1], labels):
+        return entry[2]
+    curve = _ranking(scores, labels)
+    for part in curve:
+        part.flags.writeable = False
+    entry[:] = [scores.copy(), labels.copy(), curve]
+    return curve
 
 
 def auroc(scores, labels) -> float:
@@ -169,19 +216,28 @@ def pro_curve(score_maps, masks) -> tuple[np.ndarray, np.ndarray]:
 
     fpr = fp / fp[-1]
     # A region's recall changes only at a threshold equal to one of its own
-    # pixels' scores, so the sum over regions is needed only there and is
-    # carried forward in between (0 before the first such threshold).
-    # Thresholds descend; negated, they ascend and searchsorted finds each
-    # region (positive) pixel's own threshold.
-    change = np.unique(np.searchsorted(-thresholds, -flat_scores[flat_labels == 1]))
-    at_change = thresholds[change]
-    # regions' recalls add up in canonical order, which fixes the float bits
-    sums = np.zeros_like(at_change)
+    # pixels' scores, so the sum over regions is needed only at those change
+    # points and is carried forward in between (0 before the first one).
+    # `step` is each region (positive) pixel's change point; the negated
+    # distinct positive scores ascend, so one searchsorted with sorted keys
+    # finds each change point's threshold index.
+    positives = flat_labels == 1
+    values, step = np.unique(-flat_scores[positives], return_inverse=True)
+    change = np.searchsorted(-thresholds, values)
+    step_of = np.zeros(flat_scores.size, dtype=np.intp)
+    step_of[positives] = step
+    # A region of m pixels has i hits from its i-th pixel's change point
+    # (in step order) to the next, so its recall there is i / m, the same
+    # division as counting its hits; the recalls add up region by region in
+    # canonical order, which fixes the bits.
+    sums = np.zeros(change.size)
     for coords in regions:
-        region_scores = np.sort(flat_scores[coords])
-        hits = region_scores.size - np.searchsorted(region_scores, at_change, side="left")
-        sums = sums + hits / region_scores.size
-    latest = np.searchsorted(change, np.arange(thresholds.size), side="right")
+        steps = np.sort(step_of[coords])
+        runs = np.diff(steps, prepend=0, append=change.size)
+        sums += np.repeat(np.arange(steps.size + 1) / steps.size, runs)
+    marks = np.zeros(thresholds.size, dtype=np.intp)
+    marks[change] = 1
+    latest = np.cumsum(marks)  # change points at or above each threshold
     pro_sum = np.concatenate([[0.0], sums])[latest]
     return fpr, pro_sum / len(regions)
 
@@ -192,10 +248,10 @@ def _integrate_to_limit(fpr, pro, limit: float) -> float:
     `fpr` is nondecreasing and ends at 1 >= limit, so the limit falls on
     or inside one segment, which is cut there.
     """
-    xs = np.concatenate([[0.0], fpr])
-    ys = np.concatenate([[0.0], pro])
     k = int(np.searchsorted(fpr, limit))  # segment k, xs[k]..xs[k+1], reaches the limit
-    terms = list((xs[1 : k + 1] - xs[:k]) * (ys[:k] + ys[1 : k + 1]) / 2.0)
+    xs = np.concatenate([[0.0], fpr[: k + 1]])
+    ys = np.concatenate([[0.0], pro[: k + 1]])
+    terms = ((xs[1 : k + 1] - xs[:k]) * (ys[:k] + ys[1 : k + 1]) / 2.0).tolist()
     f0, f1, p0, p1 = xs[k], xs[k + 1], ys[k], ys[k + 1]
     if f1 > limit:
         p1 = p0 + (limit - f0) / (f1 - f0) * (p1 - p0)

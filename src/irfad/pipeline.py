@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines
 from .data import Dataset
 from .errors import ParameterError
-from .metrics import EvalReport, aupro, auroc, average_precision, f1_max
+from .metrics import EvalReport, aupro, auroc, average_precision, f1_max, shared_ranking
 from .irf import irf_mean, irf_noisy
 from .net import EvalCounter, NoisePredictor
 from .net import time_embedding  # noqa: F401 -- unused; perfbench/spans.py wraps this binding
@@ -180,18 +180,19 @@ def evaluate_scorer(
     """
     counter = EvalCounter()
     table = scorer(dataset.samples, counter)
-    report = EvalReport(
-        image_auroc=auroc(table.s, dataset.labels),
-        image_ap=average_precision(table.s, dataset.labels),
-        image_f1=f1_max(table.s, dataset.labels),
-        nfe=counter.count,
-    )
-    if dataset.masks is not None and table.deltas is not None:
-        maps = pixel_maps(table, dataset.masks.shape[1:])
-        flat_scores = maps.reshape(-1)
-        flat_labels = dataset.masks.reshape(-1)
-        report.pixel_auroc = auroc(flat_scores, flat_labels)
-        report.pixel_ap = average_precision(flat_scores, flat_labels)
-        report.pixel_f1 = f1_max(flat_scores, flat_labels)
-        report.pixel_aupro = aupro(maps, dataset.masks, fpr_limit)
+    with shared_ranking():  # one sort for the image metrics, one for the pixel metrics
+        report = EvalReport(
+            image_auroc=auroc(table.s, dataset.labels),
+            image_ap=average_precision(table.s, dataset.labels),
+            image_f1=f1_max(table.s, dataset.labels),
+            nfe=counter.count,
+        )
+        if dataset.masks is not None and table.deltas is not None:
+            maps = pixel_maps(table, dataset.masks.shape[1:])
+            flat_scores = maps.reshape(-1)
+            flat_labels = dataset.masks.reshape(-1)
+            report.pixel_auroc = auroc(flat_scores, flat_labels)
+            report.pixel_ap = average_precision(flat_scores, flat_labels)
+            report.pixel_f1 = f1_max(flat_scores, flat_labels)
+            report.pixel_aupro = aupro(maps, dataset.masks, fpr_limit)
     return report, table

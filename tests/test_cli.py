@@ -363,6 +363,46 @@ def test_eval_scores_csv_ids_must_run_in_row_order(header, ids, code, tmp_path):
         assert "image_auroc  1.0" in res.stdout
 
 
+@pytest.mark.parametrize(
+    "row_7, needle",
+    [
+        ("7,0.25,,", None),
+        ("7,0.25", None),
+        ("", None),
+        ("7", "row 8 has 1 fields, needs 2"),
+        ("7,0.25,," + "0" * 200_000, "malformed CSV"),
+    ],
+    ids=["full", "no-components", "blank-line", "no-score", "field-over-csv-limit"],
+)
+def test_eval_scores_csv_rows(row_7, needle, tmp_path):
+    # rows 5984..6015 of the toy test split: 16 normal ones scored 0.25,
+    # then 16 abnormal ones scored 1.25
+    _, test = gen_toy(0)
+    split = Dataset(
+        samples=test.samples[5984:6016], labels=test.labels[5984:6016], masks=None
+    )
+    save_dataset(split, tmp_path / "ds")
+    rows = [f"{i},{v!r},," for i, v in enumerate((split.labels + 0.25).tolist())]
+    if row_7:
+        rows[7] = row_7
+    else:
+        rows.insert(7, "")  # a blank line is skipped, as csv.DictReader skips it
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text("\n".join(["id,s,s_diff,s_nll", *rows]) + "\n")
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(tmp_path / "ds"), scores_csv=str(scores_path)
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    if needle:
+        assert res.returncode == 3, res.stderr
+        assert_one_error_line(res, "data")
+        assert needle in res.stderr
+        assert not (tmp_path / "o" / "manifest").exists()
+    else:
+        assert res.returncode == 0, res.stderr
+        assert "image_auroc  1.0" in res.stdout
+
+
 def test_undecodable_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"data = blobs\nn_train = 4\xff\n")
@@ -431,9 +471,11 @@ def test_config_naming_a_directory_exits_2(tmp_path):
         ("train", dict(hidden=""), "config", "empty entry"),
         ("gen", dict(data="blobs", n_train=4, n_test=4, blob_amplitude="inf"), "usage", "amplitude"),
         ("gen", dict(data="blobs", n_train=4, n_test=4, blob_amplitude="nan"), "usage", "amplitude"),
+        *(("eval", dict(fpr_limit=v), "config", "fpr_limit") for v in ("0", "-1", "nan", "inf", "1.5")),
     ],
     ids=["seed-negative", "seed-2^64", "hidden-empty-entry", "hidden-empty",
-         "amplitude-inf", "amplitude-nan"],
+         "amplitude-inf", "amplitude-nan", "fpr-limit-0", "fpr-limit-negative",
+         "fpr-limit-nan", "fpr-limit-inf", "fpr-limit-1.5"],
 )
 def test_bad_config_value_exits_2(command, values, kind, needle, tmp_path):
     cfg = write_config(tmp_path / "c.cfg", **values)
@@ -454,6 +496,14 @@ def test_seed_range_is_checked_where_it_enters():
     for seed in (-1, 2**64):
         with pytest.raises(ParameterError):
             make_rng(seed, "x")
+
+
+def test_fpr_limit_is_checked_where_it_enters():
+    for limit in (1.0, 0.3, 5e-324):
+        assert resolve_config(None, {"fpr_limit": repr(limit)}).fpr_limit == limit
+    for limit in ("0", "-0.0", "-1", "nan", "inf", "1.5"):
+        with pytest.raises(ConfigError, match="fpr_limit"):
+            resolve_config(None, {"fpr_limit": limit})
 
 
 def test_gen_without_generator_exits_2(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irfad import metrics
 from irfad.errors import NumericError, ParameterError, UndefinedMetricError
 from irfad.metrics import (
     EvalReport,
@@ -13,6 +14,7 @@ from irfad.metrics import (
     average_precision,
     f1_max,
     pro_curve,
+    shared_ranking,
     throughput,
 )
 from irfad.net import EvalCounter
@@ -196,6 +198,73 @@ def test_sweep_ignores_input_order(data):
     for got, expected in zip(_sweep(scores[perm], labels[perm]), _sweep(scores, labels)):
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+
+
+def tie_heavy_maps(draw, shape):
+    size = int(np.prod(shape))
+    picks = draw(st.lists(st.integers(0, TIE_HEAVY.size - 1), min_size=size, max_size=size))
+    return TIE_HEAVY[picks].reshape(shape)
+
+
+def binary_masks(draw, shape):
+    size = int(np.prod(shape))
+    masks = np.array(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    masks[0], masks[-1] = 1, 0  # a region and a normal pixel
+    return masks.reshape(shape)
+
+
+def all_metrics(maps, masks):
+    flat_scores, flat_labels = maps.reshape(-1), masks.reshape(-1)
+    return [
+        auroc(flat_scores, flat_labels),
+        average_precision(flat_scores, flat_labels),
+        f1_max(flat_scores, flat_labels),
+        aupro(maps, masks, 0.3),
+        aupro(maps, masks, 1.0),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shared_ranking_equals_unscoped_calls(data):
+    # the shared sweep must follow the values, not the array object: the
+    # maps and masks change in place between rounds, and a round whose maps
+    # differ from the last only in the sign of zeros may reuse its sweep
+    shape = tuple(data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 5), (2, 5)))
+    rounds = [(tie_heavy_maps(data.draw, shape), binary_masks(data.draw, shape))]
+    rounds.append((tie_heavy_maps(data.draw, shape), rounds[0][1]))
+    rounds.append((np.where(rounds[1][0] == 0, -rounds[1][0], rounds[1][0]), rounds[0][1]))
+    rounds.append((rounds[2][0], binary_masks(data.draw, shape)))
+    expected = [all_metrics(maps, masks) for maps, masks in rounds]
+    maps, masks = rounds[0][0].copy(), rounds[0][1].copy()
+    with shared_ranking():
+        for (new_maps, new_masks), want in zip(rounds, expected):
+            maps[...], masks[...] = new_maps, new_masks
+            assert all_metrics(maps, masks) == want
+
+
+def test_shared_ranking_keeps_nothing_after_the_block(monkeypatch):
+    computed = []  # the curves computed, not read from a block's sweep
+    original = metrics._ranking
+    monkeypatch.setattr(
+        metrics, "_ranking", lambda s, l: computed.append(s.size) or original(s, l)
+    )
+    scores, labels = np.array([0.5, 0.5, -1.0, 2.0]), np.array([1, 0, 0, 1])
+    with shared_ranking():
+        first = auroc(scores, labels), average_precision(scores, labels), f1_max(scores, labels)
+        thresholds, tp, fp = _sweep(scores, labels.astype(np.int64))
+        assert not (thresholds.flags.writeable or tp.flags.writeable or fp.flags.writeable)
+    assert len(computed) == 1
+    assert auroc(scores, labels) == first[0]
+    assert len(computed) == 2  # recomputed: the block's sweep is gone
+    with pytest.raises(RuntimeError):
+        with shared_ranking():
+            auroc(scores, labels)
+            raise RuntimeError("leave the block early")
+    assert metrics._shared.get() is None
+    assert len(computed) == 3
+    assert f1_max(scores, labels) == first[2]
+    assert len(computed) == 4
 
 
 def test_non_finite_scores_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irfad import metrics
 from irfad.data import gen_blobs
 from irfad.errors import NumericError, ParameterError
 from irfad.net import EvalCounter, NoisePredictor
@@ -120,6 +121,19 @@ def test_evaluate_scorer_full_report(setup):
     assert report.pixel_auroc is not None
     assert report.pixel_aupro is not None
     assert table.deltas.shape == (len(test_ds), 2, 4, 4)
+
+
+def test_evaluate_scorer_sorts_each_score_set_once(setup, monkeypatch):
+    # one sweep for the image scores, one for the pixel maps (7 unshared)
+    schedule, net, test_ds = setup
+    computed = []
+    original = metrics._ranking
+    monkeypatch.setattr(
+        metrics, "_ranking", lambda s, l: computed.append(s.size) or original(s, l)
+    )
+    report, _ = evaluate_scorer(Scorer(IRF_MEAN, net, schedule, t_infer=10), test_ds)
+    assert computed == [len(test_ds), test_ds.masks.size]
+    assert report.pixel_aupro is not None
 
 
 def test_evaluate_scorer_without_masks_is_image_only(setup):
