@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: gen | train | score | eval | toy | bench. Flags --config,
---seed, --t, --scorer, --out override config-file values (see config.py
-for precedence). `main` creates the output directory, and once the command
-succeeds writes a `manifest` with the fully resolved configuration next to
-its artifacts. All files are written atomically through `data.atomic_write`.
+Commands: gen | train | score | eval | toy | bench. Every command takes
+the same flags --config, --seed, --t, --scorer, --out, before or after the
+command; they override config-file values (see config.py for precedence).
+`main` creates the output directory, and once the command succeeds writes
+a `manifest` with the fully resolved configuration next to its artifacts.
+All files are written atomically through `data.atomic_write`.
 
 Exit codes: 0 success, 2 config error, 3 data/artifact error (including
 a path the OS refuses, such as an `--out` that names a file), 4 numeric
@@ -195,7 +196,7 @@ def _write_report(out_dir: str, report: EvalReport) -> None:
         print(f"{name.ljust(width)}  {value}")
 
 
-# -- subcommands -------------------------------------------------------------
+# -- commands ----------------------------------------------------------------
 
 
 def cmd_gen(cfg: RunConfig) -> None:
@@ -382,18 +383,17 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser: the command and the five flags, in any order."""
     parser = argparse.ArgumentParser(
         prog="irfad",
         description="One-step diffusion anomaly detection via inverse residual fields",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None, help="key=value config file")
-        cmd.add_argument("--seed", default=None, help="root RNG seed")
-        cmd.add_argument("--t", default=None, help="inference step index")
-        cmd.add_argument("--scorer", default=None, choices=SCORER_KINDS)
-        cmd.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None, help="key=value config file")
+    parser.add_argument("--seed", default=None, help="root RNG seed")
+    parser.add_argument("--t", default=None, help="inference step index")
+    parser.add_argument("--scorer", default=None, choices=SCORER_KINDS)
+    parser.add_argument("--out", default=None, help="output directory")
     return parser
 
 

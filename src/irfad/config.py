@@ -90,8 +90,7 @@ class RunConfig:
     blob_cols: int = 3
 
     def set_key(self, key: str, raw: str) -> None:
-        spec = {f.name: f.type for f in fields(self)}
-        if key not in spec:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         current = getattr(self, key)
         try:
@@ -111,8 +110,8 @@ class RunConfig:
 
     def items(self) -> list[tuple[str, str]]:
         out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for key in _KEYS:
+            value = getattr(self, key)
             if isinstance(value, tuple):
                 rendered = ",".join(str(v) for v in value)
             elif isinstance(value, bool):
@@ -121,8 +120,11 @@ class RunConfig:
                 rendered = repr(value)
             else:
                 rendered = str(value)
-            out.append((f.name, rendered))
+            out.append((key, rendered))
         return out
+
+
+_KEYS = tuple(f.name for f in fields(RunConfig))  # every key, in declaration order
 
 
 def load_config_file(path: str | os.PathLike, config: RunConfig) -> RunConfig:

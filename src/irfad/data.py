@@ -25,6 +25,7 @@ On-disk layout of one split directory (documented bit-exactly):
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -255,6 +256,28 @@ def _parse_manifest(path: str) -> dict:
     return manifest
 
 
+def _read_array(path: str, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """File `name` of split directory `path`, read into a fresh array of `shape`.
+
+    The file size must equal the array's byte count; it is compared before
+    anything is allocated, so a corrupt manifest count costs no large array.
+    """
+    fpath = os.path.join(path, name)
+    if not os.path.exists(fpath):
+        raise DataError(f"missing {name} in {path}")
+    if any(n < 0 for n in shape):
+        raise DataError(f"bad manifest in {path}: negative size in {name} shape {shape}")
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    with open(fpath, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != nbytes:
+            raise DataError(f"{name} has {size} bytes, expected {nbytes}")
+        out = np.empty(shape, dtype=dtype)
+        if fh.readinto(out) != nbytes:  # the file shrank after fstat
+            raise DataError(f"{name} has fewer than {nbytes} bytes")
+    return out
+
+
 def load_dataset(path: str | os.PathLike) -> Dataset:
     path = os.fspath(path)
     manifest = _parse_manifest(os.path.join(path, "manifest"))
@@ -270,33 +293,18 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     if has_masks not in ("true", "false"):
         raise DataError(f"bad manifest in {path}: has_masks={has_masks!r}")
 
-    def read_exact(name: str, nbytes: int) -> bytes:
-        fpath = os.path.join(path, name)
-        if not os.path.exists(fpath):
-            raise DataError(f"missing {name} in {path}")
-        with open(fpath, "rb") as fh:
-            raw = fh.read()
-        if len(raw) != nbytes:
-            raise DataError(f"{name} has {len(raw)} bytes, expected {nbytes}")
-        return raw
-
-    n_entries = count * int(np.prod(shape))
-    samples = np.frombuffer(read_exact("samples.bin", n_entries * 8), dtype="<f8")
-    samples = samples.reshape((count,) + shape).copy()
+    samples = _read_array(path, "samples.bin", (count, *shape), "<f8")
     if not np.all(np.isfinite(samples)):
         raise DataError(f"samples.bin in {path} holds non-finite values")
-    labels = np.frombuffer(read_exact("labels.bin", count), dtype=np.uint8).copy()
+    labels = _read_array(path, "labels.bin", (count,), np.uint8)
     masks = None
     if has_masks == "true":
         try:
             H, W = (int(s) for s in manifest["mask_shape"].split(","))
         except (KeyError, ValueError) as exc:
             raise DataError(f"bad mask_shape in {path}: {exc}") from exc
-        masks = np.frombuffer(
-            read_exact(os.path.join("masks", "masks.bin"), count * H * W),
-            dtype=np.uint8,
-        )
-        masks = masks.reshape(count, H, W).copy()
+        masks_bin = os.path.join("masks", "masks.bin")
+        masks = _read_array(path, masks_bin, (count, H, W), np.uint8)
     provenance = {
         key[len("prov.") :]: value
         for key, value in manifest.items()

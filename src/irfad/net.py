@@ -16,7 +16,6 @@ noise; hidden layers use variance-scaled Gaussian init.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -263,14 +262,16 @@ def save_checkpoint(net: NoisePredictor, path: str | os.PathLike) -> None:
         "param_shapes": [list(p.shape) for p in net.params],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
-    buf.write(len(blob).to_bytes(4, "little"))
-    buf.write(blob)
-    for p in net.params:
-        buf.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    atomic_write(path, buf.getvalue())
+    payload = b"".join(
+        [
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION.to_bytes(4, "little"),
+            len(blob).to_bytes(4, "little"),
+            blob,
+            *(np.ascontiguousarray(p, dtype="<f8") for p in net.params),
+        ]
+    )
+    atomic_write(path, payload)
 
 
 def _integer(header: dict, key: str, low: int | None = None) -> int:
@@ -315,53 +316,58 @@ def load_checkpoint(
     must match the values recorded at save time. A header that is not a
     JSON object or holds a mistyped or out-of-range field (`_header_spec`),
     parameter shapes that disagree with the recorded d, hidden and m, and
-    non-finite parameters make the file corrupt.
+    non-finite parameters make the file corrupt. Every length is checked
+    against the file size before it is read or allocated, so a corrupt
+    length field costs no large read; each parameter is read straight into
+    its own fresh, aligned array.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
-        raise CorruptCheckpointError(f"{path}: not a checkpoint file")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
-        )
-    hlen = int.from_bytes(raw[8:12], "little")
-    if len(raw) < 12 + hlen:
-        raise CorruptCheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-        spec = _header_spec(header)
-        shapes = [tuple(s) for s in header["param_shapes"]]
-        expected = [s for pair in NoisePredictor.layer_shapes(spec) for s in pair]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
-    if shapes != expected:
-        raise CorruptCheckpointError(
-            f"{path}: param_shapes {shapes} do not fit d, hidden and m ({expected})"
-        )
-    if schedule is not None:
-        mismatches = []
-        if schedule.T != spec.T:
-            mismatches.append(f"T {schedule.T} != {spec.T}")
-        if schedule.beta_start is not None and schedule.beta_start != spec.beta_start:
-            mismatches.append(f"beta_start {schedule.beta_start} != {spec.beta_start}")
-        if schedule.beta_end is not None and schedule.beta_end != spec.beta_end:
-            mismatches.append(f"beta_end {schedule.beta_end} != {spec.beta_end}")
-        if mismatches:
-            raise ScheduleMismatchError(f"{path}: {'; '.join(mismatches)}")
-    offset = 12 + hlen
-    params = []
-    for shape in expected:
-        nbytes = int(np.prod(shape)) * 8
-        chunk = raw[offset : offset + nbytes]
-        if len(chunk) < nbytes:
-            raise CorruptCheckpointError(f"{path}: truncated parameter data")
-        param = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        if not np.all(np.isfinite(param)):
-            raise CorruptCheckpointError(f"{path}: non-finite parameter values")
-        params.append(param)
-        offset += nbytes
-    if offset != len(raw):
-        raise CorruptCheckpointError(f"{path}: trailing bytes after parameters")
-    return NoisePredictor(spec, params)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise CorruptCheckpointError(f"{path}: not a checkpoint file")
+        version = int.from_bytes(head[4:8], "little")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        hlen = int.from_bytes(head[8:12], "little")
+        if size < 12 + hlen:
+            raise CorruptCheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            spec = _header_spec(header)
+            shapes = [tuple(s) for s in header["param_shapes"]]
+            expected = [s for pair in NoisePredictor.layer_shapes(spec) for s in pair]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
+        if shapes != expected:
+            raise CorruptCheckpointError(
+                f"{path}: param_shapes {shapes} do not fit d, hidden and m ({expected})"
+            )
+        if schedule is not None:
+            mismatches = []
+            if schedule.T != spec.T:
+                mismatches.append(f"T {schedule.T} != {spec.T}")
+            if schedule.beta_start is not None and schedule.beta_start != spec.beta_start:
+                mismatches.append(f"beta_start {schedule.beta_start} != {spec.beta_start}")
+            if schedule.beta_end is not None and schedule.beta_end != spec.beta_end:
+                mismatches.append(f"beta_end {schedule.beta_end} != {spec.beta_end}")
+            if mismatches:
+                raise ScheduleMismatchError(f"{path}: {'; '.join(mismatches)}")
+        offset = 12 + hlen
+        params = []
+        for shape in expected:
+            nbytes = math.prod(shape) * 8
+            if size - offset < nbytes:
+                raise CorruptCheckpointError(f"{path}: truncated parameter data")
+            param = np.empty(shape, dtype="<f8")
+            if fh.readinto(param) != nbytes:  # the file shrank after fstat
+                raise CorruptCheckpointError(f"{path}: truncated parameter data")
+            if not np.all(np.isfinite(param)):
+                raise CorruptCheckpointError(f"{path}: non-finite parameter values")
+            params.append(param)
+            offset += nbytes
+        if offset != size:
+            raise CorruptCheckpointError(f"{path}: trailing bytes after parameters")
+        return NoisePredictor(spec, params)

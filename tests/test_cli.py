@@ -188,6 +188,58 @@ def test_eval_on_perfect_detector_fixture(tmp_path):
     assert metrics["image_f1"] == 1.0
 
 
+# -- argument parser -------------------------------------------------------------
+
+COMMANDS = ["gen", "train", "score", "eval", "toy", "bench"]
+FLAGS = ["--config", "c.cfg", "--seed", "3", "--t", "50", "--scorer", "ddim", "--out", "o"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_parses_the_five_flags(command):
+    for argv in ([command, *FLAGS], [*FLAGS, command], [*FLAGS[:4], command, *FLAGS[4:]]):
+        args = cli._build_parser().parse_args(argv)
+        assert (args.command, args.config, args.seed, args.t, args.scorer, args.out) == (
+            command, "c.cfg", "3", "50", "ddim", "o"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        [],
+        ["--out", "o"],
+        ["score", "--scorer", "bogus"],
+        ["score", "--nope", "1"],
+    ],
+    ids=["unknown-command", "no-command", "flags-only", "bogus-scorer", "unknown-flag"],
+)
+def test_bad_command_line_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "irfad: error:" in capsys.readouterr().err
+
+
+def test_help_lists_commands_and_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for word in [*COMMANDS, *FLAGS[::2]]:
+        assert word in text
+
+
+def test_flags_before_the_command_run_it(tmp_path, capsys):
+    cfg = write_config(tmp_path / "gen.cfg", data="blobs", n_train=4, n_test=4)
+    out = tmp_path / "o"
+    assert cli.main(["--seed", "5", "--out", str(out), "--config", cfg, "gen"]) == 0
+    manifest = (out / "manifest").read_text()
+    assert manifest.startswith("command=gen\n")
+    assert "\nseed=5\n" in manifest
+    assert load_dataset(out / "test").samples.shape == (4, 4, 8, 8)
+
+
 # -- failure modes ---------------------------------------------------------------
 
 

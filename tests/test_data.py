@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,49 @@ def test_provenance_survives_round_trip(tmp_path):
     assert loaded.provenance["generator"] == "toy"
 
 
+def test_loaded_arrays_own_aligned_memory(tmp_path):
+    _, test = gen_blobs(3, 4, seed=5)
+    save_dataset(test, tmp_path / "ds")
+    loaded = load_dataset(tmp_path / "ds")
+    for a in (loaded.samples, loaded.labels, loaded.masks):
+        assert a.base is None
+        assert a.flags.aligned and a.flags.writeable and a.flags.c_contiguous
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    _, test = gen_blobs(3, 4, seed=5)
+    save_dataset(test, tmp_path / "a")
+    save_dataset(load_dataset(tmp_path / "a"), tmp_path / "b")
+    for name in ("manifest", "samples.bin", "labels.bin", "masks/masks.bin"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_huge_manifest_count_is_load_error_without_allocating(tmp_path):
+    _, test = gen_blobs(2, 4, seed=0)
+    save_dataset(test, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest"
+    manifest.write_text(manifest.read_text().replace("count=4", f"count={10**12}"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="samples.bin has"):
+            load_dataset(tmp_path / "ds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_negative_manifest_count_is_load_error(tmp_path):
+    _, test = gen_blobs(2, 4, seed=0)
+    save_dataset(test, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest"
+    text = manifest.read_text()
+    text = text.replace("count=4", "count=-4").replace("shape=4,", "shape=-4,")
+    manifest.write_text(text)
+    with pytest.raises(DataError, match="negative"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_missing_mask_file_is_load_error(tmp_path):
     _, test = gen_blobs(2, 4, seed=0)
     save_dataset(test, tmp_path / "ds")
@@ -144,7 +189,8 @@ def test_truncated_samples_is_load_error(tmp_path):
     save_dataset(train, tmp_path / "ds")
     raw = (tmp_path / "ds" / "samples.bin").read_bytes()
     (tmp_path / "ds" / "samples.bin").write_bytes(raw[:-8])
-    with pytest.raises(DataError):
+    message = f"^samples.bin has {len(raw) - 8} bytes, expected {len(raw)}$"
+    with pytest.raises(DataError, match=message):
         load_dataset(tmp_path / "ds")
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -340,6 +341,37 @@ def test_checkpoint_header_must_be_an_object(tmp_path, net):
     rewrite_header(path, lambda header: sorted(header.items()))
     with pytest.raises(CorruptCheckpointError, match="JSON object"):
         load_checkpoint(path)
+
+
+def test_loaded_parameters_own_aligned_memory(tmp_path, net, schedule):
+    path = tmp_path / "net.bin"
+    save_checkpoint(randomized(net), path)
+    for p in load_checkpoint(path, schedule).params:
+        assert p.base is None
+        assert p.flags.aligned and p.flags.writeable and p.flags.c_contiguous
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, net, schedule):
+    first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_checkpoint(randomized(net), first)
+    save_checkpoint(load_checkpoint(first, schedule), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_huge_header_length_is_corrupt_without_reading_it(tmp_path, net):
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = (2**31).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpointError, match="truncated header"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trained_noise_stats_on_normal_data(toy_run):
