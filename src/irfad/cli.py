@@ -50,21 +50,16 @@ from .pipeline import (
     SCORER_KINDS,
     Scorer,
     evaluate_scorer,
-    normalized_scores,
+    field_shape,
     pixel_maps,
 )
 from .schedule import linear_schedule
 from .trainer import TrainConfig, train
 
 
-def _write_text(path: str, lines: list[str]) -> None:
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
-    lines = [f"command={command}"]
-    lines.extend(f"{key}={value}" for key, value in cfg.items())
-    _write_text(os.path.join(out_dir, "manifest"), lines)
+    lines = [f"command={command}", *(f"{key}={value}" for key, value in cfg.items())]
+    atomic_write(os.path.join(out_dir, "manifest"), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
@@ -130,6 +125,17 @@ def _make_scorer(cfg: RunConfig, kind: str, net, schedule, dataset: Dataset) -> 
     )
 
 
+def _check_map_target(cfg: RunConfig, dataset: Dataset) -> None:
+    """save_maps needs a residual-field scorer and a target no smaller than the field."""
+    if cfg.scorer not in (IRF_MEAN, IRF_NOISY):
+        raise ConfigError(f"save_maps needs an irf scorer, got scorer={cfg.scorer}")
+    _, h, w = field_shape(dataset.sample_shape)
+    if cfg.up_height < h or cfg.up_width < w:
+        raise ConfigError(
+            f"save_maps target ({cfg.up_height}, {cfg.up_width}) is below the field's ({h}, {w})"
+        )
+
+
 def _write_scores(out_dir: str, table) -> None:
     """scores.csv: id, s and, for the IRF scorers, s_diff and s_nll."""
     n = table.s.size
@@ -166,22 +172,6 @@ def _write_trainlog(out_dir: str, log) -> None:
         os.path.join(out_dir, "trainlog.csv"),
         _table_bytes(["epoch", "mean_loss", "seconds"], columns),
     )
-
-
-def _write_score_maps(out_dir: str, maps: np.ndarray) -> None:
-    """One raw little-endian float64 file per sample plus a sidecar header."""
-    maps_dir = os.path.join(out_dir, "maps")
-    os.makedirs(maps_dir, exist_ok=True)
-    n, H, W = maps.shape
-    _write_text(
-        os.path.join(maps_dir, "maps.header"),
-        [f"dtype=float64-le rows={H} cols={W} count={n}"],
-    )
-    for i in range(n):
-        atomic_write(
-            os.path.join(maps_dir, f"map_{i:05d}.bin"),
-            np.ascontiguousarray(maps[i], "<f8").tobytes(),
-        )
 
 
 def _write_report(out_dir: str, report: EvalReport) -> None:
@@ -237,18 +227,21 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def cmd_score(cfg: RunConfig) -> None:
+    """Write scores.csv and, with save_maps, maps.bin.
+
+    maps.bin holds the (n, up_height, up_width) pixel maps as little-endian
+    float64 in row-major order, the layout of a split's samples.bin.
+    """
     net, schedule = _load_net(cfg)
     dataset = _load_run_dataset(cfg.data)
     scorer = _make_scorer(cfg, cfg.scorer, net, schedule, dataset)
+    if cfg.save_maps:
+        _check_map_target(cfg, dataset)
     table = scorer(dataset.samples)
-    if cfg.normalize_scores:
-        normal = dataset.labels == 0
-        calib = scorer(dataset.samples[normal])
-        table.s = normalized_scores(table, calib)
     _write_scores(cfg.out, table)
-    if cfg.save_maps and table.deltas is not None:
-        maps = pixel_maps(table, (cfg.up_height, cfg.up_width))
-        _write_score_maps(cfg.out, maps)
+    if cfg.save_maps:
+        maps = pixel_maps(table, (cfg.up_height, cfg.up_width)).astype("<f8", copy=False)
+        atomic_write(os.path.join(cfg.out, "maps.bin"), maps.tobytes())
     print(f"scored {table.s.size} samples with {cfg.scorer} at t={scorer.t_infer}")
 
 

@@ -67,7 +67,6 @@ class RunConfig:
     t_infer: int = 0  # 0 = per-command default (toy 250, feature maps 500)
     scorer: str = "irf-mean"
     infer_batch: int = 256
-    normalize_scores: bool = False
     save_maps: bool = False
     fpr_limit: float = 0.3
 

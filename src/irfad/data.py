@@ -164,8 +164,8 @@ def gen_blobs(
     if n_train < 1 or n_test < 2:
         raise ParameterError("need n_train >= 1 and n_test >= 2")
     H, W = upsample_to
-    if H % h != 0 or W % w != 0:
-        raise ParameterError(f"upsample target {upsample_to} must be a multiple of {h}x{w}")
+    if H < h or W < w or H % h != 0 or W % w != 0:
+        raise ParameterError(f"upsample target {upsample_to} is no positive multiple of {h}x{w}")
     sy, sx = H // h, W // w
 
     rng = make_rng(seed, "blobs")

@@ -276,7 +276,8 @@ class EvalReport:
     """Metric bundle for one scorer on one dataset.
 
     Pixel-level entries are None for datasets without masks; mAD averages
-    whatever image- and pixel-level metrics are present.
+    whatever image- and pixel-level metrics are present. nfe is None when
+    no network was evaluated (scores read from a CSV).
     """
 
     image_auroc: float
@@ -286,7 +287,7 @@ class EvalReport:
     pixel_ap: float | None = None
     pixel_f1: float | None = None
     pixel_aupro: float | None = None
-    nfe: int = 0
+    nfe: int | None = None
 
     METRIC_FIELDS = (
         "image_auroc",
@@ -311,7 +312,8 @@ class EvalReport:
             if value is not None:
                 out.append((name, repr(float(value))))
         out.append(("mad", repr(float(self.mad))))
-        out.append(("nfe", str(self.nfe)))
+        if self.nfe is not None:
+            out.append(("nfe", str(self.nfe)))
         return out
 
 

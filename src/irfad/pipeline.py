@@ -35,7 +35,7 @@ DDIM = "ddim"
 SCORER_KINDS = (IRF_MEAN, IRF_NOISY, RECON, DDIM)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreTable:
     """Per-sample image scores; components only exist for IRF scorers."""
 
@@ -45,7 +45,7 @@ class ScoreTable:
     deltas: np.ndarray | None = None  # (n, c, h, w) residual fields
 
 
-def _field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
+def field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
     """Samples are (c, h, w) fields; 1-D vectors degenerate to (d, 1, 1)."""
     if len(sample_shape) == 3:
         return sample_shape
@@ -88,7 +88,7 @@ class Scorer:
         n = samples.shape[0]
         if n == 0:
             raise ParameterError("cannot score zero samples")
-        cshape = _field_shape(samples.shape[1:])
+        cshape = field_shape(samples.shape[1:])
         X = samples.reshape(n, -1)
         if X.shape[1] != self.net.spec.d:
             raise ParameterError(
@@ -148,23 +148,6 @@ def pixel_maps(table: ScoreTable, target: tuple[int, int]) -> np.ndarray:
     if table.deltas is None:
         raise ParameterError("pixel maps require a residual-field scorer")
     return bilinear_upsample(feature_scale_maps(table.deltas), target[0], target[1])
-
-
-def normalized_scores(table: ScoreTable, calibration: ScoreTable) -> np.ndarray:
-    """Optional z-scored component sum against held-out normal statistics.
-
-    s_diff and s_nll are each centred on the calibration table's mean and
-    divided by its standard deviation (at least 1e-12), then added.
-    """
-    if table.s_diff is None or calibration.s_diff is None:
-        raise ParameterError("component normalization requires IRF score tables")
-    if calibration.s_diff.size == 0:
-        raise ParameterError("need at least one calibration score")
-
-    def zscore(part: np.ndarray, calib: np.ndarray) -> np.ndarray:
-        return (part - calib.mean()) / max(calib.std(), 1e-12)
-
-    return zscore(table.s_diff, calibration.s_diff) + zscore(table.s_nll, calibration.s_nll)
 
 
 def evaluate_scorer(

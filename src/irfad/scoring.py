@@ -5,10 +5,7 @@ residual field at each location, then bilinear upsampling brings it to
 the evaluation resolution. Image level: the score is the sum of two
 parts, the range (max - min) of the feature-scale map and the Gaussian
 negative log-likelihood of the residual field dropped to its quadratic
-term, 0.5 * sum(delta^2). The parts are summed raw here. Optional
-z-scoring of each part against held-out normal statistics works on score
-tables, in `pipeline.normalized_scores` (config key `normalize_scores`,
-off by default).
+term, 0.5 * sum(delta^2). The parts are summed raw, with no calibration.
 
 Bilinear upsampling is corner-aligned: source corners map onto target
 corners, so target pixel (I, J) reads the source at

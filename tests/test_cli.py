@@ -14,7 +14,7 @@ from irfad import cli
 from irfad.config import resolve_config
 from irfad.data import Dataset, gen_toy, load_dataset, save_dataset
 from irfad.errors import ConfigError, ParameterError
-from irfad.pipeline import ScoreTable
+from irfad.pipeline import ScoreTable, pixel_maps
 from irfad.rng import make_rng
 from irfad.trainer import TrainLog
 
@@ -86,11 +86,47 @@ def test_score_writes_components_and_maps(tiny_blob_run):
         assert float(row["s"]) == pytest.approx(
             float(row["s_diff"]) + float(row["s_nll"])
         )
-    header = (root / "scored" / "maps" / "maps.header").read_text()
-    assert "rows=32 cols=32" in header
-    blob = (root / "scored" / "maps" / "map_00000.bin").read_bytes()
-    assert len(blob) == 32 * 32 * 8
-    assert (root / "scored" / "manifest").exists()
+    # maps.bin is n x H x W little-endian float64: H, W from the manifest, n from scores.csv
+    manifest = dict(
+        line.split("=", 1) for line in (root / "scored" / "manifest").read_text().splitlines()
+    )
+    shape = (len(rows), int(manifest["up_height"]), int(manifest["up_width"]))
+    assert shape == (12, 32, 32)
+    maps = np.fromfile(root / "scored" / "maps.bin", dtype="<f8")
+    assert maps.size == np.prod(shape)
+    assert not (root / "scored" / "maps").exists()
+    cfg = resolve_config(cfg2, {})
+    net, schedule = cli._load_net(cfg)
+    split = load_dataset(cfg.data)
+    table = cli._make_scorer(cfg, cfg.scorer, net, schedule, split)(split.samples)
+    assert maps.reshape(shape).tobytes() == pixel_maps(table, shape[1:]).tobytes()
+
+
+@pytest.mark.parametrize("scorer", ["recon", "ddim"])
+def test_score_maps_with_a_baseline_scorer_exits_2(tiny_blob_run, tmp_path, scorer):
+    root, cfg, cfg2, *_ = tiny_blob_run
+    out = tmp_path / "o"
+    res = run_cli("score", "--config", cfg2, "--scorer", scorer, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.strip().startswith("irfad: error: config:")
+    assert "save_maps" in res.stderr
+    assert not (out / "scores.csv").exists() and not (out / "manifest").exists()
+
+
+def test_score_maps_below_the_field_exits_2_before_scoring(tiny_blob_run, tmp_path):
+    # the blob split holds 8x8 fields; a 4-row map target cannot hold them
+    root, *_ = tiny_blob_run
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(root / "data" / "test"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+        save_maps="true", up_height=4,
+    )
+    out = tmp_path / "o"
+    res = run_cli("score", "--config", cfg, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.strip().startswith("irfad: error: config:")
+    assert not (out / "scores.csv").exists() and not (out / "manifest").exists()
 
 
 def test_eval_reports_pixel_metrics(tiny_blob_run):
@@ -126,22 +162,6 @@ def test_eval_draws_maps_at_the_masks_resolution(tiny_blob_run, tmp_path):
         metrics = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
     for key in ("pixel_auroc", "pixel_ap", "pixel_f1", "pixel_aupro"):
         assert 0.0 <= metrics[key] <= 1.0
-
-
-def test_score_normalized_centres_the_normal_rows(tiny_blob_run):
-    root, cfg, cfg2, *_ = tiny_blob_run
-    cfg3 = write_config(
-        root / "normalized.cfg",
-        data=str(root / "data" / "test"),
-        checkpoint=str(root / "run" / "checkpoint.bin"),
-        normalize_scores="true",
-    )
-    res = run_cli("score", "--config", cfg3, "--out", str(root / "scored-z"))
-    assert res.returncode == 0, res.stderr
-    with open(root / "scored-z" / "scores.csv") as fh:
-        s = np.array([float(r["s"]) for r in csv.DictReader(fh)])
-    labels = load_dataset(root / "data" / "test").labels
-    assert abs(s[labels == 0].mean()) < 1e-9
 
 
 def test_bench_reports_nfe_per_scorer(tiny_blob_run):
@@ -186,6 +206,9 @@ def test_eval_on_perfect_detector_fixture(tmp_path):
     assert metrics["image_auroc"] == 1.0
     assert metrics["image_ap"] == 1.0
     assert metrics["image_f1"] == 1.0
+    # no network ran, so there is no evaluation count to report
+    assert "nfe" not in metrics
+    assert "nfe" not in res.stdout
 
 
 # -- argument parser -------------------------------------------------------------
@@ -244,12 +267,12 @@ def test_flags_before_the_command_run_it(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no_such_key = 5\n")
-    res = run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert res.returncode == 2
-    assert res.stderr.strip().startswith("irfad: error: config:")
-    assert len(res.stderr.strip().splitlines()) == 1
+    for key in ("no_such_key", "normalize_scores"):
+        cfg = write_config(tmp_path / "bad.cfg", **{key: "5"})
+        res = run_cli("gen", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert res.returncode == 2
+        assert res.stderr.startswith("irfad: error: config: unknown config key")
+        assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_missing_dataset_exits_3(tmp_path):
@@ -321,28 +344,6 @@ def test_eval_with_nan_score_exits_3(tmp_path):
     assert res.returncode == 3
     assert res.stderr.strip().startswith("irfad: error: data:")
     assert "non-finite" in res.stderr
-
-
-def test_score_normalized_without_normal_rows_exits_2(tiny_blob_run, tmp_path):
-    # the calibration set (the normal rows) is empty
-    root, *_ = tiny_blob_run
-    split = load_dataset(root / "data" / "test")
-    abnormal = split.labels == 1
-    cut = Dataset(
-        samples=split.samples[abnormal], labels=split.labels[abnormal],
-        masks=split.masks[abnormal], provenance=split.provenance, role="test",
-    )
-    save_dataset(cut, tmp_path / "abnormal-only")
-    cfg = write_config(
-        tmp_path / "c.cfg",
-        data=str(tmp_path / "abnormal-only"),
-        checkpoint=str(root / "run" / "checkpoint.bin"),
-        normalize_scores="true",
-    )
-    res = run_cli("score", "--config", cfg, "--out", str(tmp_path / "o"))
-    assert res.returncode == 2, res.stderr
-    assert res.stderr.strip().startswith("irfad: error: usage:")
-    assert "zero samples" in res.stderr
 
 
 def test_eval_with_undecodable_manifest_exits_3(tiny_blob_run, tmp_path):
@@ -615,9 +616,15 @@ def test_score_with_float_header_field_exits_3(tiny_blob_run, tmp_path):
 
 
 def test_scorer_flag_selects_baseline_with_empty_components(tiny_blob_run):
-    root, cfg, cfg2, *_ = tiny_blob_run
+    root, *_ = tiny_blob_run
+    cfg = write_config(  # no save_maps: a baseline scorer has no maps to save
+        root / "ddim.cfg",
+        data=str(root / "data" / "test"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+        infer_batch=64,
+    )
     res = run_cli(
-        "score", "--config", cfg2, "--scorer", "ddim", "--t", "50",
+        "score", "--config", cfg, "--scorer", "ddim", "--t", "50",
         "--out", str(root / "scored-ddim"),
     )
     assert res.returncode == 0, res.stderr

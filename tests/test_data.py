@@ -81,6 +81,8 @@ def test_blob_dim_validation():
         gen_blobs(4, 4, dims=(4, 8, 8), anomaly=BlobParams(rows=9, cols=1))
     with pytest.raises(ParameterError):
         gen_blobs(4, 4, upsample_to=(30, 32))
+    with pytest.raises(ParameterError):
+        gen_blobs(4, 4, upsample_to=(0, 8))  # 0 is a multiple of 8, but holds no field
 
 
 def test_blob_deterministic_per_seed():

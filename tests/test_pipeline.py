@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,7 @@ from irfad.pipeline import (
     IRF_NOISY,
     RECON,
     Scorer,
-    ScoreTable,
     evaluate_scorer,
-    normalized_scores,
     pixel_maps,
 )
 from irfad.rng import make_rng
@@ -148,21 +148,17 @@ def test_evaluate_scorer_without_masks_is_image_only(setup):
     assert report.pixel_auroc is None and report.pixel_aupro is None
 
 
-def test_normalized_scores_centers_calibration_set(setup):
-    schedule, net, test_ds = setup
-    scorer = Scorer(IRF_MEAN, net, schedule, t_infer=10)
-    table = scorer(test_ds.samples)
-    z = normalized_scores(table, table)  # self-calibration: mean z-score ~ 0
-    assert abs(z.mean()) < 1e-9
-    empty = ScoreTable(s=np.empty(0), s_diff=np.empty(0), s_nll=np.empty(0))
-    with pytest.raises(ParameterError):
-        normalized_scores(table, empty)
-
-
 def test_baseline_table_has_no_components(setup):
     schedule, net, test_ds = setup
     table = Scorer(DDIM, net, schedule, t_infer=10, ddim_steps=2)(test_ds.samples)
     assert table.s_diff is None and table.s_nll is None and table.deltas is None
+
+
+def test_score_table_is_frozen(setup):
+    schedule, net, test_ds = setup
+    table = Scorer(IRF_MEAN, net, schedule, t_infer=10)(test_ds.samples)
+    with pytest.raises(FrozenInstanceError):
+        table.s = table.s_diff
 
 
 def test_dataset_dim_mismatch_rejected(setup):

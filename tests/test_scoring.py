@@ -175,16 +175,6 @@ def test_invalid_fields_rejected():
         image_score(np.array([[[np.nan]]]))
 
 
-def test_component_zscoring():
-    from irfad.pipeline import ScoreTable, normalized_scores
-
-    diffs = np.arange(5.0)
-    calib = ScoreTable(s=diffs + 1.0, s_diff=diffs, s_nll=np.ones(5))
-    table = ScoreTable(s=np.array([3.0]), s_diff=np.array([2.0]), s_nll=np.array([1.0]))
-    z = normalized_scores(table, calib)
-    assert z[0] == pytest.approx(0.0, abs=1e-9)  # both components at their means
-
-
 # -- pixel-level ranking on the reference feature-map run ----------------------
 
 
