@@ -30,6 +30,7 @@ from .data import (
     gen_blobs,
     gen_toy,
     load_dataset,
+    read_manifest,
     save_dataset,
 )
 from .errors import (
@@ -57,8 +58,35 @@ from .schedule import linear_schedule
 from .trainer import TrainConfig, train
 
 
+# What an `eval` from a scores CSV takes from the `score` run that wrote it.
+_SCORE_RUN_KEYS = ("scorer", "t_infer", "checkpoint")
+
+
+def _score_run(scores_csv: str) -> dict[str, str]:
+    """`_SCORE_RUN_KEYS` as recorded in the manifest that `score` wrote
+    beside `scores_csv`; empty when there is no such manifest."""
+    path = os.path.join(os.path.dirname(scores_csv), "manifest")
+    if not os.path.exists(path):
+        return {}
+    manifest = read_manifest(path)
+    if manifest.get("command") != "score":
+        return {}
+    return {key: manifest[key] for key in _SCORE_RUN_KEYS if key in manifest}
+
+
 def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
-    lines = [f"command={command}", *(f"{key}={value}" for key, value in cfg.items())]
+    """`command`, then every resolved config key. An `eval` from a scores
+    CSV ran no scorer: it records the scorer, step and checkpoint of the run
+    that wrote the scores, or leaves them out when that run is unknown."""
+    items = cfg.items()
+    if command == "eval" and cfg.scores_csv:
+        source = _score_run(cfg.scores_csv)
+        items = [
+            (key, source.get(key, value))
+            for key, value in items
+            if key in source or key not in _SCORE_RUN_KEYS
+        ]
+    lines = [f"command={command}", *(f"{key}={value}" for key, value in items)]
     atomic_write(os.path.join(out_dir, "manifest"), ("\n".join(lines) + "\n").encode("utf-8"))
 
 

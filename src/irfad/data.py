@@ -241,7 +241,8 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     atomic_write(os.path.join(path, "manifest"), manifest.encode("utf-8"))
 
 
-def _parse_manifest(path: str) -> dict:
+def read_manifest(path: str) -> dict:
+    """The `key=value` lines of a manifest file; blank and `#` lines skipped."""
     manifest = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -280,7 +281,7 @@ def _read_array(path: str, name: str, shape: tuple[int, ...], dtype) -> np.ndarr
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
     path = os.fspath(path)
-    manifest = _parse_manifest(os.path.join(path, "manifest"))
+    manifest = read_manifest(os.path.join(path, "manifest"))
     try:
         if int(manifest["format_version"]) != _FORMAT_VERSION:
             raise DataError(f"unsupported dataset format {manifest['format_version']}")

@@ -1,13 +1,17 @@
 """Evaluation metrics with exactly pinned tie conventions.
 
-All ranking metrics read one curve, built by one sort: each distinct
-score, descending, with the cumulative true and false positives at it, so
-equal scores form one threshold step. The curve reads only the ends of
-tie groups, so it does not depend on the order inside a group and the
-sort need not be stable. Counts are exact integers and every curve-level
-accumulation goes through math.fsum (exact summation), so the results
-are reproducible to the bit and can be checked against brute-force
-oracles with equality rather than tolerances.
+All ranking metrics read one curve, built by one value sort (no argsort):
+each distinct score, descending, with the cumulative true and false
+positives at it, so equal scores form one threshold step. The tie groups
+come from the sorted values; each positive's group is found by searching
+them for its score and counted, so the curve depends on the multiset of
+(score, label) pairs alone. The entry check hands the labels on as a bool
+mask. The curve also carries the indices of the tie groups that hold a
+positive: AUROC, AP and F1-max read only those entries, and AU-PRO uses
+them as its change points. Counts are exact integers and every
+curve-level accumulation goes through math.fsum (exact summation), so the
+results are reproducible to the bit and can be checked against
+brute-force oracles with equality rather than tolerances.
 Non-finite scores are refused with NumericError.
 
 Inside a `shared_ranking()` block, metrics called on equal checked inputs
@@ -26,10 +30,11 @@ Conventions:
   at (0, 0) and region order is canonical (image index, then first pixel
   in row-major order). The regions come from one NumPy labeling of the
   whole stack (minimum-label propagation with pointer jumping, see
-  `_mask_regions`). The recall sum is formed only at the thresholds where
-  some region pixel sits (between them it cannot change): each region
-  pixel gets the index of its own such threshold, and a region of m
-  pixels reads i / m from its i-th index to the next.
+  `_mask_regions`). The recall sum is formed only at the tie groups that
+  hold a region pixel (between them it cannot change): each region pixel
+  gets the index of its own such group, and a region of m pixels reads
+  i / m from its i-th index to the next. `aupro` forms the sum only up to
+  the segment that reaches fpr_limit; `pro_curve` returns the whole curve.
 * throughput: median samples/sec over `repeats` timed passes after one
   warm-up pass; NFE comes from the evaluation counter.
 """
@@ -51,38 +56,53 @@ DEFAULT_FPR_LIMIT = 0.3
 
 
 def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The one entry check of every metric: flat finite scores, binary labels."""
+    """The one entry check of every metric: flat finite scores, binary labels.
+
+    Returns the scores as float64 and the labels as a bool mask of the
+    positives.
+    """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape:
         raise ParameterError("scores and labels must have equal length")
     if not np.all(np.isfinite(scores)):
         raise NumericError("scores must be finite")
-    if not np.all((labels == 0) | (labels == 1)):
+    positive = labels == 1
+    if not np.all(positive | (labels == 0)):
         raise ParameterError("labels must be binary (0 = normal, 1 = abnormal)")
-    return scores, labels.astype(np.int64)
+    return scores, positive
 
 
-def _ranking(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ranking curve: distinct scores, descending, with cumulative TP, FP.
+def _ranking(scores, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ranking curve: distinct scores, descending, with cumulative TP, FP,
+    and the indices of the tie groups that hold a positive.
 
     Entry k counts the samples scored >= thresholds[k], i.e. what is
-    predicted positive at that threshold. Only tie-group ends are read (the
-    group's value, the running positive count and the position there), so
-    the order inside a group cannot change the result and the sort need not
-    be stable; `+ 0.0` turns a -0.0 that ends a group tied with 0.0 into
-    0.0, so the arrays depend on the multiset of (score, label) pairs alone.
+    predicted positive at that threshold. One value sort gives the tie
+    groups and where each starts; each positive's group is found by
+    searching the distinct values for its score, so the result depends on
+    the multiset of (score, label) pairs alone. `+ 0.0` turns a -0.0
+    threshold into 0.0, which it ties with.
     """
-    order = np.argsort(-scores)
-    ranked = scores[order]
-    last = np.append(ranked[1:] != ranked[:-1], True)  # end of each tie group
-    tp = np.cumsum(labels[order])[last]
-    fp = np.flatnonzero(last) + 1 - tp
-    return ranked[last] + 0.0, tp, fp
+    values = np.sort(scores)
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    starts = np.flatnonzero(new)  # ascending tie groups
+    distinct = values[starts]
+    # each positive's group, counted from the highest score down (sorted
+    # keys keep the search cache-friendly)
+    group = distinct.size - 1 - np.searchsorted(distinct, np.sort(scores[positive]))
+    tp = np.bincount(group, minlength=distinct.size)  # positives per group
+    held = np.flatnonzero(tp)
+    np.cumsum(tp, out=tp)
+    above = np.subtract(values.size, starts, out=starts)  # samples scored >= the group
+    fp = above[::-1] - tp
+    return distinct[::-1] + 0.0, tp, fp, held
 
 
 # The innermost open `shared_ranking` block's last sweep: [] or
-# [scores copy, labels copy, curve]; None outside every block.
+# [scores copy, positive-mask copy, curve]; None outside every block.
 _shared: ContextVar[list | None] = ContextVar("irfad_shared_ranking", default=None)
 
 
@@ -102,7 +122,7 @@ def shared_ranking():
         _shared.reset(token)
 
 
-def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sweep(scores, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ranking curve every ranking metric reads (see `_ranking`).
 
     Inside a `shared_ranking` block it is the block's last curve when the
@@ -111,51 +131,56 @@ def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     entry = _shared.get()
     if entry is None:
-        return _ranking(scores, labels)
-    if entry and np.array_equal(entry[0], scores) and np.array_equal(entry[1], labels):
+        return _ranking(scores, positive)
+    if entry and np.array_equal(entry[0], scores) and np.array_equal(entry[1], positive):
         return entry[2]
-    curve = _ranking(scores, labels)
+    curve = _ranking(scores, positive)
     for part in curve:
         part.flags.writeable = False
-    entry[:] = [scores.copy(), labels.copy(), curve]
+    entry[:] = [scores.copy(), positive.copy(), curve]
     return curve
 
 
 def auroc(scores, labels) -> float:
     """Area under the ROC curve: the Mann-Whitney U over n_pos * n_neg,
     a positive tied with a negative counting one half."""
-    scores, labels = _check_binary(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
+    scores, positive = _check_binary(scores, labels)
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("auroc needs at least one sample of each class")
-    _, tp, fp = _sweep(scores, labels)
+    _, tp, fp, groups = _sweep(scores, positive)
     # each positive of a tie group beats the negatives below the group and
-    # ties with the group's own: 2U sums exactly in int64
-    u2 = int(np.sum(np.diff(tp, prepend=0) * (2 * (n_neg - fp) + np.diff(fp, prepend=0))))
+    # ties with the group's own; a group without positives adds nothing, and
+    # 2U sums exactly in int64
+    fp_before = np.where(groups > 0, fp[groups - 1], 0)
+    tp, fp = tp[groups], fp[groups]
+    u2 = int(np.sum(np.diff(tp, prepend=0) * (2 * (n_neg - fp) + (fp - fp_before))))
     return u2 / (2.0 * n_pos * n_neg)
 
 
 def average_precision(scores, labels) -> float:
     """Step-wise AP: sum over recall increments of the precision there."""
-    scores, labels = _check_binary(scores, labels)
-    n_pos = int(labels.sum())
+    scores, positive = _check_binary(scores, labels)
+    n_pos = int(np.count_nonzero(positive))
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    _, tp, fp = _sweep(scores, labels)
+    _, tp, fp, groups = _sweep(scores, positive)
+    tp, fp = tp[groups], fp[groups]  # recall rises exactly at these groups
     gain = np.diff(tp, prepend=0)
-    step = gain > 0
-    return fsum((gain[step] / n_pos) * (tp[step] / (tp[step] + fp[step])))
+    return fsum(((gain / n_pos) * (tp / (tp + fp))).tolist())
 
 
 def f1_max(scores, labels) -> float:
     """Maximum F1 over thresholds at the distinct score values."""
-    scores, labels = _check_binary(scores, labels)
-    n_pos = int(labels.sum())
+    scores, positive = _check_binary(scores, labels)
+    n_pos = int(np.count_nonzero(positive))
     if n_pos == 0:
         raise UndefinedMetricError("f1_max needs at least one positive")
-    _, tp, fp = _sweep(scores, labels)
-    # 2TP / (2TP + FP + FN), and TP + FP + FN = predicted + n_pos
+    _, tp, fp, groups = _sweep(scores, positive)
+    # 2TP / (2TP + FP + FN), and TP + FP + FN = predicted + n_pos; at a fixed
+    # TP it falls as FP grows, so the maximum sits where TP has just risen
+    tp, fp = tp[groups], fp[groups]
     return float(np.max(2 * tp / (tp + fp + n_pos)))
 
 
@@ -199,54 +224,64 @@ def _mask_regions(masks: np.ndarray) -> list[np.ndarray]:
     return np.split(np.flatnonzero(masks)[order], starts)
 
 
-def pro_curve(score_maps, masks) -> tuple[np.ndarray, np.ndarray]:
-    """(FPR, mean per-region recall) at each distinct threshold, descending."""
+def _pro_inputs(score_maps, masks):
+    """The checks of pro_curve and aupro: flat scores, regions, pixel curve.
+
+    Returns the flat scores, the mask regions, the thresholds, the FPR at
+    each and the tie groups that hold a region pixel (see `_ranking`).
+    """
     score_maps = np.asarray(score_maps, dtype=np.float64)
     masks = np.asarray(masks)
     if score_maps.shape != masks.shape or score_maps.ndim != 3:
         raise ParameterError("score_maps and masks must both be (n, H, W)")
-    flat_scores, flat_labels = _check_binary(score_maps, masks)
+    flat_scores, positive = _check_binary(score_maps, masks)
 
     regions = _mask_regions(masks)
     if not regions:
         raise UndefinedMetricError("aupro needs at least one anomalous region")
-    thresholds, _, fp = _sweep(flat_scores, flat_labels)
+    thresholds, _, fp, groups = _sweep(flat_scores, positive)
     if fp[-1] == 0:
         raise UndefinedMetricError("aupro needs at least one normal pixel")
+    return flat_scores, regions, thresholds, fp / fp[-1], groups
 
-    fpr = fp / fp[-1]
-    # A region's recall changes only at a threshold equal to one of its own
-    # pixels' scores, so the sum over regions is needed only at those change
-    # points and is carried forward in between (0 before the first one).
-    # `step` is each region (positive) pixel's change point; the negated
-    # distinct positive scores ascend, so one searchsorted with sorted keys
-    # finds each change point's threshold index.
-    positives = flat_labels == 1
-    values, step = np.unique(-flat_scores[positives], return_inverse=True)
-    change = np.searchsorted(-thresholds, values)
-    step_of = np.zeros(flat_scores.size, dtype=np.intp)
-    step_of[positives] = step
-    # A region of m pixels has i hits from its i-th pixel's change point
-    # (in step order) to the next, so its recall there is i / m, the same
-    # division as counting its hits; the recalls add up region by region in
-    # canonical order, which fixes the bits.
+
+def _pro_prefix(flat_scores, regions, thresholds, groups, size: int) -> np.ndarray:
+    """Mean per-region recall at thresholds[:size].
+
+    A region's recall changes only at a threshold equal to one of its own
+    pixels' scores, that is at a tie group that holds a positive, so the
+    sum over regions is needed only at those change points below `size` and
+    is carried forward in between (0 before the first one).
+    """
+    change = groups[: np.searchsorted(groups, size)]
+    ascending = thresholds[change[::-1]]
     sums = np.zeros(change.size)
     for coords in regions:
-        steps = np.sort(step_of[coords])
-        runs = np.diff(steps, prepend=0, append=change.size)
-        sums += np.repeat(np.arange(steps.size + 1) / steps.size, runs)
-    marks = np.zeros(thresholds.size, dtype=np.intp)
-    marks[change] = 1
-    latest = np.cumsum(marks)  # change points at or above each threshold
-    pro_sum = np.concatenate([[0.0], sums])[latest]
-    return fpr, pro_sum / len(regions)
+        # a pixel's step counts the change thresholds above its score (one
+        # scored below all of them gets change.size, past the prefix); a
+        # region of m pixels has i hits from its i-th step to the next, so
+        # its recall there is i / m, the same division as counting its
+        # hits, and the recalls add up region by region in canonical order,
+        # which fixes the bits
+        steps = np.sort(change.size - np.searchsorted(ascending, flat_scores[coords], "right"))
+        reached = int(np.searchsorted(steps, change.size))
+        bounds = np.concatenate(([0], steps[:reached], [change.size]))
+        sums += np.repeat(np.arange(reached + 1) / steps.size, bounds[1:] - bounds[:-1])
+    pro_sum = np.repeat(np.concatenate([[0.0], sums]), np.diff(change, prepend=0, append=size))
+    return pro_sum / len(regions)
+
+
+def pro_curve(score_maps, masks) -> tuple[np.ndarray, np.ndarray]:
+    """(FPR, mean per-region recall) at each distinct threshold, descending."""
+    flat_scores, regions, thresholds, fpr, groups = _pro_inputs(score_maps, masks)
+    return fpr, _pro_prefix(flat_scores, regions, thresholds, groups, fpr.size)
 
 
 def _integrate_to_limit(fpr, pro, limit: float) -> float:
     """Trapezoid area of the (0,0)-anchored curve up to FPR = limit.
 
-    `fpr` is nondecreasing and ends at 1 >= limit, so the limit falls on
-    or inside one segment, which is cut there.
+    `fpr` is nondecreasing and ends at or above limit (the full curve ends
+    at 1), so the limit falls on or inside one segment, which is cut there.
     """
     k = int(np.searchsorted(fpr, limit))  # segment k, xs[k]..xs[k+1], reaches the limit
     xs = np.concatenate([[0.0], fpr[: k + 1]])
@@ -261,11 +296,16 @@ def _integrate_to_limit(fpr, pro, limit: float) -> float:
 
 
 def aupro(score_maps, masks, fpr_limit: float = DEFAULT_FPR_LIMIT) -> float:
-    """Area under the per-region-overlap curve, normalized by fpr_limit."""
+    """Area under the per-region-overlap curve, normalized by fpr_limit.
+
+    The PRO sum is formed only up to the segment that reaches fpr_limit.
+    """
     if not (0.0 < fpr_limit <= 1.0):
         raise ParameterError(f"fpr_limit must lie in (0, 1], got {fpr_limit}")
-    fpr, pro = pro_curve(score_maps, masks)
-    return _integrate_to_limit(fpr, pro, fpr_limit) / fpr_limit
+    flat_scores, regions, thresholds, fpr, groups = _pro_inputs(score_maps, masks)
+    size = int(np.searchsorted(fpr, fpr_limit)) + 1  # the curve points integrated
+    pro = _pro_prefix(flat_scores, regions, thresholds, groups, size)
+    return _integrate_to_limit(fpr[:size], pro, fpr_limit) / fpr_limit
 
 
 # -- report and throughput ---------------------------------------------------

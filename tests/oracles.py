@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by brute force (pair counting,
 exhaustive threshold sweeps, central finite differences, flood fill,
-row-at-a-time `csv.writer` tables) and deliberately avoids the library's
-own code paths.
+row-at-a-time `csv.writer` tables) or by a former, frozen version of the
+library's code (the argsort ranking sweep), and deliberately avoids the
+library's current code paths.
 """
 
 import csv
@@ -87,6 +88,27 @@ def f1_exhaustive(scores, labels) -> float:
         if denom > 0:
             best = max(best, 2 * tp / denom)
     return best
+
+
+def ranking_by_argsort(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The library's former ranking sweep, kept verbatim: one argsort of the
+    negated scores, int64 labels permuted and summed, read at tie-group ends.
+
+    The ranking curve: distinct scores, descending, with cumulative TP, FP.
+
+    Entry k counts the samples scored >= thresholds[k], i.e. what is
+    predicted positive at that threshold. Only tie-group ends are read (the
+    group's value, the running positive count and the position there), so
+    the order inside a group cannot change the result and the sort need not
+    be stable; `+ 0.0` turns a -0.0 that ends a group tied with 0.0 into
+    0.0, so the arrays depend on the multiset of (score, label) pairs alone.
+    """
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)  # end of each tie group
+    tp = np.cumsum(labels[order])[last]
+    fp = np.flatnonzero(last) + 1 - tp
+    return ranked[last] + 0.0, tp, fp
 
 
 # -- per-region overlap -------------------------------------------------------

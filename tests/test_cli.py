@@ -209,6 +209,11 @@ def test_eval_on_perfect_detector_fixture(tmp_path):
     # no network ran, so there is no evaluation count to report
     assert "nfe" not in metrics
     assert "nfe" not in res.stdout
+    # no `score` manifest beside the scores: the run that made them is unknown
+    lines = (tmp_path / "out" / "manifest").read_text().splitlines()
+    keys = [line.split("=", 1)[0] for line in lines]
+    assert keys[0] == "command" and "scores_csv" in keys
+    assert not {"scorer", "t_infer", "checkpoint"} & set(keys)
 
 
 # -- argument parser -------------------------------------------------------------
@@ -635,6 +640,30 @@ def test_scorer_flag_selects_baseline_with_empty_components(tiny_blob_run):
     assert all(float(r["s"]) >= 0 for r in rows)
     manifest = (root / "scored-ddim" / "manifest").read_text()
     assert "scorer=ddim" in manifest and "t_infer=50" in manifest
+
+
+def test_eval_from_scores_csv_names_the_score_run(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    checkpoint = str(root / "run" / "checkpoint.bin")
+    cfg = write_config(
+        tmp_path / "score.cfg", data=str(root / "data" / "test"), checkpoint=checkpoint,
+    )
+    scored = tmp_path / "scored"
+    res = run_cli("score", "--config", cfg, "--scorer", "ddim", "--t", "50", "--out", str(scored))
+    assert res.returncode == 0, res.stderr
+    cfg = write_config(  # the eval config names no scorer, step or checkpoint
+        tmp_path / "eval.cfg", data=str(root / "data" / "test"),
+        scores_csv=str(scored / "scores.csv"),
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    lines = (tmp_path / "out" / "manifest").read_text().splitlines()
+    manifest = dict(line.split("=", 1) for line in lines)
+    assert manifest["command"] == "eval"
+    assert manifest["scorer"] == "ddim"
+    assert manifest["t_infer"] == "50"
+    assert manifest["checkpoint"] == checkpoint
+    assert len(lines) == len(manifest)  # each key once
 
 
 def test_manifest_embeds_resolved_config(tiny_blob_run):

@@ -7,7 +7,10 @@ from irfad import metrics
 from irfad.errors import NumericError, ParameterError, UndefinedMetricError
 from irfad.metrics import (
     EvalReport,
+    _check_binary,
+    _integrate_to_limit,
     _mask_regions,
+    _ranking,
     _sweep,
     aupro,
     auroc,
@@ -27,6 +30,7 @@ from oracles import (
     auroc_pairs,
     f1_exhaustive,
     pro_curve_per_threshold,
+    ranking_by_argsort,
 )
 
 
@@ -195,9 +199,36 @@ def test_sweep_ignores_input_order(data):
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     scores = TIE_HEAVY[picks]
     perm = np.array(data.draw(st.permutations(range(n))))
-    for got, expected in zip(_sweep(scores[perm], labels[perm]), _sweep(scores, labels)):
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+    got = _sweep(*_check_binary(scores[perm], labels[perm]))
+    expected = _sweep(*_check_binary(scores, labels))
+    assert len(got) == len(expected) == 4
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert g.tobytes() == e.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ranking_matches_the_argsort_sweep(data):
+    # tie-heavy scores with both signs of zero, down to one sample, one
+    # class or one tie group for every score
+    n = data.draw(st.integers(1, 60))
+    if data.draw(st.booleans()):
+        picks = data.draw(st.lists(st.integers(0, TIE_HEAVY.size - 1), min_size=n, max_size=n))
+    else:
+        picks = [data.draw(st.integers(0, TIE_HEAVY.size - 1))] * n  # all tied
+    kind = data.draw(st.sampled_from(["mixed", "normal", "abnormal"]))
+    if kind == "mixed":
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    else:
+        labels = np.full(n, int(kind == "abnormal"))
+    scores = TIE_HEAVY[picks]
+    thresholds, tp, fp, groups = _ranking(*_check_binary(scores, labels))
+    expected = ranking_by_argsort(scores, labels.astype(np.int64))
+    for got, want in zip((thresholds, tp, fp), expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # the sign of each zero too
+    assert groups.tobytes() == np.flatnonzero(np.diff(tp, prepend=0)).tobytes()
 
 
 def tie_heavy_maps(draw, shape):
@@ -252,8 +283,8 @@ def test_shared_ranking_keeps_nothing_after_the_block(monkeypatch):
     scores, labels = np.array([0.5, 0.5, -1.0, 2.0]), np.array([1, 0, 0, 1])
     with shared_ranking():
         first = auroc(scores, labels), average_precision(scores, labels), f1_max(scores, labels)
-        thresholds, tp, fp = _sweep(scores, labels.astype(np.int64))
-        assert not (thresholds.flags.writeable or tp.flags.writeable or fp.flags.writeable)
+        curve = _sweep(*_check_binary(scores, labels))
+        assert not any(part.flags.writeable for part in curve)
     assert len(computed) == 1
     assert auroc(scores, labels) == first[0]
     assert len(computed) == 2  # recomputed: the block's sweep is gone
@@ -340,6 +371,31 @@ def test_aupro_oracle_sweep():
         hit = float(interior[rng.integers(interior.size)])
         for limit in (0.3, 1.0, hit):
             assert aupro(maps, masks, limit) == aupro_exhaustive(maps, masks, limit)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_aupro_integrates_the_pro_curve(data):
+    # aupro forms the curve only up to the fpr limit: the area must equal
+    # that of the full curve bit for bit
+    shape = tuple(data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 6), (2, 6)))
+    masks = binary_masks(data.draw, shape)
+    if data.draw(st.booleans()):
+        maps = tie_heavy_maps(data.draw, shape)
+    else:
+        size = int(np.prod(shape))
+        values = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size))
+        maps = np.array(values).reshape(shape)
+    fpr, pro = pro_curve(maps, masks)
+    limit = data.draw(
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.just(1.0),
+            st.sampled_from(fpr[fpr > 0].tolist()),  # the cut lands on a curve point
+        )
+    )
+    full = _integrate_to_limit(fpr, pro, limit) / limit
+    assert np.float64(aupro(maps, masks, limit)).tobytes() == np.float64(full).tobytes()
 
 
 def assert_pro_curve_matches_oracle(maps, masks):
