@@ -8,9 +8,9 @@ a `manifest` with the fully resolved configuration next to its artifacts.
 All files are written atomically through `data.atomic_write`.
 
 Exit codes: 0 success, 2 config error, 3 data/artifact error (including
-a path the OS refuses, such as an `--out` that names a file), 4 numeric
-or training error. Failures print one machine-parsable line:
-`irfad: error: <kind>: <message>`.
+a path the OS refuses, such as an `--out` that names a file, and memory
+the OS refuses), 4 numeric or training error. Failures print one
+machine-parsable line: `irfad: error: <kind>: <message>`.
 """
 
 from __future__ import annotations
@@ -95,13 +95,24 @@ def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
 
     `columns` holds one sequence per header field. An ndarray column is
     written through `tolist()` and `repr`, so a float is its shortest
-    round-trip decimal; any other column through `str`. No field holds a
-    separator, a quote or a newline, so nothing is quoted.
+    round-trip decimal; any other column through `str`. A float64 column
+    whose bits equal an earlier one's (`0.0` and `-0.0` differ) reuses that
+    column's text. No field holds a separator, a quote or a newline, so
+    nothing is quoted.
     """
-    cells = [
-        map(repr, col.tolist()) if isinstance(col, np.ndarray) else map(str, col)
-        for col in columns
-    ]
+    cells, written = [], []  # written: (bits, text) of each float64 column
+    for col in columns:
+        if not isinstance(col, np.ndarray):
+            cells.append(map(str, col))
+        elif col.dtype != np.float64:
+            cells.append(map(repr, col.tolist()))
+        else:
+            bits = col.view(np.uint64)
+            text = next((t for b, t in written if np.array_equal(b, bits)), None)
+            if text is None:
+                text = list(map(repr, col.tolist()))
+                written.append((bits, text))
+            cells.append(text)
     lines = [sep.join(header), *map(sep.join, zip(*cells))]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -135,16 +146,19 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 
 
 def _make_scorer(cfg: RunConfig, kind: str, net, schedule, dataset: Dataset) -> Scorer:
-    """A `kind` scorer at cfg.t_infer, or else the data's default step capped at T."""
-    t_infer = cfg.t_infer
-    if t_infer <= 0:
+    """A `kind` scorer at cfg.t_infer.
+
+    A 0 there is first replaced in `cfg` by the data's default step capped
+    at T, so the run's manifest records the step the scorer used.
+    """
+    if cfg.t_infer <= 0:
         toy = len(dataset.sample_shape) == 1
-        t_infer = min(DEFAULT_T_INFER_TOY if toy else DEFAULT_T_INFER_FEATURES, cfg.T)
+        cfg.t_infer = min(DEFAULT_T_INFER_TOY if toy else DEFAULT_T_INFER_FEATURES, cfg.T)
     return Scorer(
         kind,
         net,
         schedule,
-        t_infer=t_infer,
+        t_infer=cfg.t_infer,
         batch_size=cfg.infer_batch,
         noise_seed=cfg.seed,
         recon_t_start=cfg.recon_t_start,
@@ -434,6 +448,9 @@ def main(argv=None) -> int:
         return 2
     except (DataError, CheckpointError, OSError) as exc:
         print(f"irfad: error: data: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"irfad: error: data: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"irfad: error: numeric: {exc}", file=sys.stderr)

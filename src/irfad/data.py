@@ -12,7 +12,10 @@ Two generators, both deterministic functions of a seed:
   cosine modes cos(pi*p*y/(h-1)) * cos(pi*q*x/(w-1)) with i.i.d. Gaussian
   coefficients damped by 1/(1+p+q). Abnormal maps add a constant-amplitude
   rectangle to every channel; the ground-truth mask is that rectangle
-  scaled to the evaluation resolution (nearest-neighbour blocks).
+  scaled to the evaluation resolution (nearest-neighbour blocks). Draw
+  order: one (n_train, c, 3, 3) normal draw of train coefficients, one
+  (n_test, c, 3, 3) draw of test coefficients, then for each abnormal
+  test sample its blob's row and then its column.
 
 On-disk layout of one split directory (documented bit-exactly):
   manifest          key=value text: format_version, role (train or test),
@@ -136,15 +139,6 @@ class BlobParams:
     cols: int = 3
 
 
-def _smooth_field(rng: np.random.Generator, c: int, h: int, w: int) -> np.ndarray:
-    """One smooth correlated (c, h, w) map from low-frequency cosine modes."""
-    py = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, h)))  # (3, h)
-    px = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, w)))  # (3, w)
-    coef = rng.standard_normal((c, 3, 3))
-    damp = 1.0 / (1.0 + np.add.outer(np.arange(3), np.arange(3)))
-    return np.einsum("kpq,ph,qw->khw", coef * damp, py, px)
-
-
 def gen_blobs(
     n_train: int,
     n_test: int,
@@ -153,7 +147,13 @@ def gen_blobs(
     seed: int = 0,
     upsample_to: tuple[int, int] = (32, 32),
 ) -> tuple[Dataset, Dataset]:
-    """Smooth-field maps with planted rectangular anomalies in half the test set."""
+    """Smooth-field maps with planted rectangular anomalies in half the test set.
+
+    Draw order within the stream: one (n_train, c, 3, 3) standard-normal
+    draw of train coefficients, one (n_test, c, 3, 3) draw of test
+    coefficients, then for each abnormal test sample its blob's row and
+    then its column.
+    """
     c, h, w = dims
     if c < 1 or h < 1 or w < 1 or c * h * w > 512:
         raise ParameterError(f"dims {dims} invalid (need c*h*w <= 512)")
@@ -167,13 +167,28 @@ def gen_blobs(
     if H < h or W < w or H % h != 0 or W % w != 0:
         raise ParameterError(f"upsample target {upsample_to} is no positive multiple of {h}x{w}")
     sy, sx = H // h, W // w
+    field_bytes = 8 * c * max(h * w, 9)  # a float64 field or its 3x3 coefficients
+    limit = np.iinfo(np.intp).max
+    if max(n_train, n_test) * field_bytes > limit or n_test * H * W > limit:
+        raise ParameterError(
+            f"{n_train} train / {n_test} test samples of {dims} exceed the addressable size"
+        )
 
     rng = make_rng(seed, "blobs")
     n_abn = n_test // 2
     n_norm_test = n_test - n_abn
 
-    train_x = np.stack([_smooth_field(rng, c, h, w) for _ in range(n_train)])
-    test_x = np.stack([_smooth_field(rng, c, h, w) for _ in range(n_test)])
+    # low-frequency cosine modes, shared by every field
+    py = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, h)))  # (3, h)
+    px = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, w)))  # (3, w)
+    damp = 1.0 / (1.0 + np.add.outer(np.arange(3), np.arange(3)))
+
+    def smooth_fields(n: int) -> np.ndarray:
+        coef = rng.standard_normal((n, c, 3, 3))
+        return np.einsum("nkpq,ph,qw->nkhw", coef * damp, py, px)
+
+    train_x = smooth_fields(n_train)
+    test_x = smooth_fields(n_test)
     masks = np.zeros((n_test, H, W), dtype=np.uint8)
     labels = np.zeros(n_test, dtype=np.uint8)
     for i in range(n_norm_test, n_test):

@@ -3,8 +3,8 @@
 Everything here recomputes expected values by brute force (pair counting,
 exhaustive threshold sweeps, central finite differences, flood fill,
 row-at-a-time `csv.writer` tables) or by a former, frozen version of the
-library's code (the argsort ranking sweep), and deliberately avoids the
-library's current code paths.
+library's code (the argsort ranking sweep, the per-sample blob generator),
+and deliberately avoids the library's current code paths.
 """
 
 import csv
@@ -264,9 +264,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+def _csv_bytes(header: list[str], rows: list[list], sep: str = ",") -> bytes:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=sep, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
@@ -298,3 +298,41 @@ def trainlog_csv_rows(losses, seconds) -> bytes:
         for epoch, (loss, secs) in enumerate(zip(losses, seconds))
     ]
     return _csv_bytes(["epoch", "mean_loss", "seconds"], rows)
+
+
+# -- blob generator -----------------------------------------------------------
+#
+# The library's former `gen_blobs` body, kept verbatim: one `_smooth_field`
+# (its own cosine bases and one (c, 3, 3) draw) per sample, then the
+# planted blobs.
+
+
+def _smooth_field(rng: np.random.Generator, c: int, h: int, w: int) -> np.ndarray:
+    """One smooth correlated (c, h, w) map from low-frequency cosine modes."""
+    py = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, h)))  # (3, h)
+    px = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, w)))  # (3, w)
+    coef = rng.standard_normal((c, 3, 3))
+    damp = 1.0 / (1.0 + np.add.outer(np.arange(3), np.arange(3)))
+    return np.einsum("kpq,ph,qw->khw", coef * damp, py, px)
+
+
+def blobs_per_sample(rng, n_train, n_test, dims, anomaly, upsample_to=(32, 32)):
+    """(train samples, test samples, test labels, test masks) drawn from `rng`,
+    which is left where the generator stops."""
+    c, h, w = dims
+    H, W = upsample_to
+    sy, sx = H // h, W // w
+    n_abn = n_test // 2
+    n_norm_test = n_test - n_abn
+
+    train_x = np.stack([_smooth_field(rng, c, h, w) for _ in range(n_train)])
+    test_x = np.stack([_smooth_field(rng, c, h, w) for _ in range(n_test)])
+    masks = np.zeros((n_test, H, W), dtype=np.uint8)
+    labels = np.zeros(n_test, dtype=np.uint8)
+    for i in range(n_norm_test, n_test):
+        r0 = int(rng.integers(0, h - anomaly.rows + 1))
+        c0 = int(rng.integers(0, w - anomaly.cols + 1))
+        test_x[i, :, r0 : r0 + anomaly.rows, c0 : c0 + anomaly.cols] += anomaly.amplitude
+        masks[i, r0 * sy : (r0 + anomaly.rows) * sy, c0 * sx : (c0 + anomaly.cols) * sx] = 1
+        labels[i] = 1
+    return train_x, test_x, labels, masks

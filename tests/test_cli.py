@@ -18,7 +18,13 @@ from irfad.pipeline import ScoreTable, pixel_maps
 from irfad.rng import make_rng
 from irfad.trainer import TrainLog
 
-from oracles import scores_csv_rows, trainlog_csv_rows, trajectories_tsv_rows
+from oracles import (
+    _csv_bytes,
+    _fmt,
+    scores_csv_rows,
+    trainlog_csv_rows,
+    trajectories_tsv_rows,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -693,7 +699,47 @@ def test_manifest_names_its_command(command, tiny_blob_run, tmp_path):
     out = tmp_path / "out"
     res = run_cli(command, "--config", cfg, "--out", str(out), "--seed", "3")
     assert res.returncode == 0, res.stderr
-    assert (out / "manifest").read_text().startswith(f"command={command}\n")
+    text = (out / "manifest").read_text()
+    assert text.startswith(f"command={command}\n")
+    # a command that scores records the step it scored at: the data's default, capped at T
+    step = {"score": 500, "eval": 500, "toy": 250, "bench": 500}.get(command, 0)
+    assert f"\nt_infer={step}\n" in text
+
+
+def test_eval_copies_the_default_step_of_the_score_run(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    cfg = write_config(
+        tmp_path / "score.cfg", data=str(root / "data" / "test"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+    )
+    scored = tmp_path / "scored"
+    res = run_cli("score", "--config", cfg, "--out", str(scored))
+    assert res.returncode == 0, res.stderr
+    assert "at t=500" in res.stdout
+    assert "\nt_infer=500\n" in (scored / "manifest").read_text()
+    cfg = write_config(
+        tmp_path / "eval.cfg", data=str(root / "data" / "test"),
+        scores_csv=str(scored / "scores.csv"),
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert res.returncode == 0, res.stderr
+    assert "\nt_infer=500\n" in (tmp_path / "out" / "manifest").read_text()
+
+
+def test_gen_count_beyond_memory_exits_with_its_kind(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "c.cfg", data="blobs", n_train=2**70)
+    assert cli.main(["gen", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err.startswith("irfad: error: usage:")
+
+    def refused(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "gen_blobs", refused)
+    cfg = write_config(tmp_path / "c.cfg", data="blobs", n_train=2**40)
+    assert cli.main(["gen", "--config", cfg, "--out", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err
+    assert err == "irfad: error: data: Unable to allocate 8.00 TiB\n"
+    assert not (tmp_path / "b" / "manifest").exists()
 
 
 # -- run tables ------------------------------------------------------------------
@@ -742,6 +788,42 @@ def test_run_tables_keep_the_row_writers_bytes(data):
         back = cli._read_scores_csv(str(path / "scores.csv"))
     assert np.all(back == table.s)
     assert back.tobytes() == table.s.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_table_bytes_match_the_row_writer(data):
+    n = data.draw(st.integers(1, 30), label="rows")
+    floats = st.lists(_FIELD, min_size=n, max_size=n).map(np.array)
+    k = data.draw(st.integers(2, 3), label="grid width")
+    grid = data.draw(st.lists(st.lists(_FIELD, min_size=k, max_size=k), min_size=n, max_size=n))
+    columns = [np.array(grid).T[data.draw(st.integers(0, k - 1), label="strided")]]  # as bench
+    kinds = ["float", "repeat", "copy", "zero-sign", "uint8", "int64", "range", "list"]
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=7)):
+        earlier = [c for c in columns if isinstance(c, np.ndarray) and c.dtype == np.float64]
+        if kind == "float":
+            columns.append(data.draw(floats))
+        elif kind == "repeat":
+            columns.append(data.draw(st.sampled_from(earlier)))
+        elif kind == "copy":
+            columns.append(data.draw(st.sampled_from(earlier)).copy())
+        elif kind == "zero-sign":  # equal in value to an earlier column, not in bits
+            col = data.draw(st.sampled_from(earlier)).copy()
+            col[data.draw(st.integers(0, n - 1))] = 0.0
+            columns.append(col)
+            columns.append(np.where(col == 0.0, -col, col))
+        elif kind in ("uint8", "int64"):
+            ints = st.integers(*((0, 255) if kind == "uint8" else (-(2**63), 2**63 - 1)))
+            columns.append(np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), kind))
+        elif kind == "range":
+            columns.append(range(n))
+        else:
+            words = st.text("abcdefgh-_.", min_size=1, max_size=6)
+            columns.append(data.draw(st.lists(words, min_size=n, max_size=n)))
+    sep = data.draw(st.sampled_from([",", "\t"]), label="sep")
+    header = [f"c{j}" for j in range(len(columns))]
+    rows = [[_fmt(col[i]) for col in columns] for i in range(n)]
+    assert cli._table_bytes(header, columns, sep) == _csv_bytes(header, rows, sep)
 
 
 def test_import_loads_no_scipy():

@@ -1,8 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irfad import data
 from irfad.data import (
     BlobParams,
     Dataset,
@@ -12,6 +16,9 @@ from irfad.data import (
     save_dataset,
 )
 from irfad.errors import DataError, ParameterError
+from irfad.rng import make_rng
+
+from oracles import blobs_per_sample
 
 
 # -- toy generator --------------------------------------------------------------
@@ -83,6 +90,62 @@ def test_blob_dim_validation():
         gen_blobs(4, 4, upsample_to=(30, 32))
     with pytest.raises(ParameterError):
         gen_blobs(4, 4, upsample_to=(0, 8))  # 0 is a multiple of 8, but holds no field
+
+
+@pytest.mark.parametrize("counts", [(2**70, 4), (4, 2**70), (2**60, 2**60)])
+def test_blob_count_beyond_the_address_space_is_refused(counts):
+    with pytest.raises(ParameterError, match="addressable"):
+        gen_blobs(*counts)
+
+
+@st.composite
+def _blob_args(draw):
+    h = draw(st.integers(1, 16), label="h")
+    w = draw(st.integers(1, 16), label="w")
+    c = draw(st.integers(1, 512 // (h * w)), label="c")
+    anomaly = BlobParams(
+        amplitude=draw(st.floats(-1e6, 1e6), label="amplitude"),
+        rows=draw(st.integers(1, h), label="rows"),
+        cols=draw(st.integers(1, w), label="cols"),
+    )
+    upsample_to = (h * draw(st.integers(1, 3)), w * draw(st.integers(1, 3)))
+    return dict(
+        n_train=draw(st.integers(1, 40), label="n_train"),
+        n_test=draw(st.integers(2, 40), label="n_test"),
+        dims=(c, h, w),
+        anomaly=anomaly,
+        seed=draw(st.integers(0, 2**64 - 1), label="seed"),
+        upsample_to=upsample_to,
+    )
+
+
+def _next_draws(rng):
+    return rng.integers(0, 7, size=5).tolist(), rng.standard_normal(3).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=_blob_args())
+def test_batched_blobs_match_the_per_sample_generator(args):
+    streams = []
+
+    def recording_make_rng(seed, name):
+        streams.append(make_rng(seed, name))
+        return streams[-1]
+
+    with mock.patch.object(data, "make_rng", recording_make_rng):
+        train, test = gen_blobs(**args)
+    oracle_rng = make_rng(args["seed"], "blobs")
+    train_x, test_x, labels, masks = blobs_per_sample(
+        oracle_rng, args["n_train"], args["n_test"], args["dims"], args["anomaly"],
+        args["upsample_to"],
+    )
+    assert train.samples.shape == train_x.shape and test.samples.shape == test_x.shape
+    assert np.array_equal(train.samples.view(np.uint64), train_x.view(np.uint64))
+    assert np.array_equal(test.samples.view(np.uint64), test_x.view(np.uint64))
+    assert test.labels.tobytes() == labels.tobytes()
+    assert test.masks.shape == masks.shape and test.masks.tobytes() == masks.tobytes()
+    assert len(streams) == 1
+    assert _next_draws(streams[0]) == _next_draws(oracle_rng)
 
 
 def test_blob_deterministic_per_seed():
