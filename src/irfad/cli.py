@@ -30,8 +30,9 @@ from .data import (
     gen_blobs,
     gen_toy,
     load_dataset,
-    read_manifest,
+    read_key_values,
     save_dataset,
+    write_key_values,
 )
 from .errors import (
     CheckpointError,
@@ -66,9 +67,7 @@ def _score_run(scores_csv: str) -> dict[str, str]:
     """`_SCORE_RUN_KEYS` as recorded in the manifest that `score` wrote
     beside `scores_csv`; empty when there is no such manifest."""
     path = os.path.join(os.path.dirname(scores_csv), "manifest")
-    if not os.path.exists(path):
-        return {}
-    manifest = read_manifest(path)
+    manifest = read_key_values(path) if os.path.exists(path) else {}
     if manifest.get("command") != "score":
         return {}
     return {key: manifest[key] for key in _SCORE_RUN_KEYS if key in manifest}
@@ -86,8 +85,7 @@ def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
             for key, value in items
             if key in source or key not in _SCORE_RUN_KEYS
         ]
-    lines = [f"command={command}", *(f"{key}={value}" for key, value in items)]
-    atomic_write(os.path.join(out_dir, "manifest"), ("\n".join(lines) + "\n").encode("utf-8"))
+    write_key_values(os.path.join(out_dir, "manifest"), [("command", command), *items])
 
 
 def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
@@ -214,6 +212,16 @@ def _write_trainlog(out_dir: str, log) -> None:
         os.path.join(out_dir, "trainlog.csv"),
         _table_bytes(["epoch", "mean_loss", "seconds"], columns),
     )
+
+
+def _image_report(scores: np.ndarray, labels: np.ndarray) -> EvalReport:
+    """AUROC, AP and F1-max of image scores, from one shared ranking."""
+    with shared_ranking():
+        return EvalReport(
+            image_auroc=auroc(scores, labels),
+            image_ap=average_precision(scores, labels),
+            image_f1=f1_max(scores, labels),
+        )
 
 
 def _write_report(out_dir: str, report: EvalReport) -> None:
@@ -345,12 +353,7 @@ def cmd_eval(cfg: RunConfig) -> None:
             raise DataError(
                 f"{cfg.scores_csv} has {scores.size} rows, dataset has {len(dataset)}"
             )
-        with shared_ranking():
-            report = EvalReport(
-                image_auroc=auroc(scores, dataset.labels),
-                image_ap=average_precision(scores, dataset.labels),
-                image_f1=f1_max(scores, dataset.labels),
-            )
+        report = _image_report(scores, dataset.labels)
     else:
         net, schedule = _load_net(cfg)
         scorer = _make_scorer(cfg, cfg.scorer, net, schedule, dataset)
@@ -376,23 +379,16 @@ def cmd_toy(cfg: RunConfig) -> None:
 
 
 def cmd_bench(cfg: RunConfig) -> None:
-    """Compare scorer accuracy and speed on one dataset."""
+    """Compare scorer speed and accuracy (of each warm-up pass) on one dataset."""
     net, schedule = _load_net(cfg)
     dataset = _load_run_dataset(cfg.data)
     kinds = (IRF_MEAN, RECON, DDIM)
     accuracy, nfes, rates = [], [], []
     for kind in kinds:
         scorer = _make_scorer(cfg, kind, net, schedule, dataset)
-        table = scorer(dataset.samples)
-        rate, nfe = throughput(scorer, dataset.samples, repeats=cfg.bench_repeats)
-        with shared_ranking():
-            accuracy.append(
-                [
-                    auroc(table.s, dataset.labels),
-                    average_precision(table.s, dataset.labels),
-                    f1_max(table.s, dataset.labels),
-                ]
-            )
+        rate, nfe, table = throughput(scorer, dataset.samples, repeats=cfg.bench_repeats)
+        report = _image_report(table.s, dataset.labels)
+        accuracy.append([report.image_auroc, report.image_ap, report.image_f1])
         nfes.append(nfe)
         rates.append(rate)
         print(f"{kind}: nfe={nfe} rate={rate:.1f}/s")

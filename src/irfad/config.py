@@ -1,7 +1,9 @@
 """Run configuration: flat key=value files plus CLI overrides.
 
-A config file holds one `key = value` pair per line; blank lines and
-`#` comments are ignored. Unknown keys are a hard error. CLI flags take
+A config file holds one `key = value` pair per line, read by
+`data.read_key_values`: blank lines and `#` comments are ignored, any
+other line without `=` is refused with its line number, and a repeated
+key keeps its last value. Unknown keys are a hard error. CLI flags take
 precedence over file values, which take precedence over the defaults
 below. The fully resolved configuration (including the seed) is written
 into every run's output manifest so any artifact can be reproduced from
@@ -13,7 +15,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .data import read_key_values
+from .errors import ConfigError, DataError
 from .rng import SEED_LIMIT
 
 
@@ -127,24 +130,13 @@ _KEYS = tuple(f.name for f in fields(RunConfig))  # every key, in declaration or
 
 
 def load_config_file(path: str | os.PathLike, config: RunConfig) -> RunConfig:
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    """Set each `key = value` pair of `path` on `config`; a bad file is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        config.set_key(key.strip(), value.strip())
+        items = read_key_values(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    for key, value in items.items():
+        config.set_key(key, value)
     return config
 
 

@@ -18,7 +18,7 @@ Two generators, both deterministic functions of a seed:
   test sample its blob's row and then its column.
 
 On-disk layout of one split directory (documented bit-exactly):
-  manifest          key=value text: format_version, role (train or test),
+  manifest          key=value lines: format_version, role (train or test),
                     count, shape, has_masks (true or false), mask_shape
                     (when annotated), prov.* provenance entries
   samples.bin       count * prod(shape) finite float64, little-endian, row-major
@@ -76,11 +76,15 @@ class Dataset:
                 raise DataError("masks must be (n, H, W), one per sample")
             if np.any(self.masks > 1):
                 raise DataError("masks must be binary")
+            fields = self.samples.shape[2:] if self.samples.ndim == 4 else (1, 1)
+            if not np.all(np.greater_equal(self.masks.shape[1:], fields)):
+                raise DataError(f"masks {self.masks.shape[1:]} are smaller than the fields {fields}")
+            positive = self.masks.any(axis=(1, 2))
             abnormal = self.labels == ABNORMAL
-            if abnormal.any() and np.any(
-                self.masks[abnormal].sum(axis=(1, 2)) == 0
-            ):
+            if np.any(abnormal & ~positive):
                 raise DataError("abnormal sample with empty mask in annotated set")
+            if np.any(positive & ~abnormal):
+                raise DataError("normal sample with positive mask pixels in annotated set")
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -232,44 +236,54 @@ def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def read_key_values(path: str | os.PathLike) -> dict[str, str]:
+    """The stripped `key=value` lines of a UTF-8 text file; blank and `#`
+    lines skipped, any other needs a key and `=`; a repeated key's last value wins."""
+    path = os.fspath(path)
+    items = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = (part.strip() for part in line.partition("="))
+                if not sep or not key:
+                    raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                items[key] = value
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return items
+
+
+def write_key_values(path: str | os.PathLike, items) -> None:
+    """Write one `key=value` line per (key, value) pair, through atomic_write."""
+    text = "".join(f"{key}={value}\n" for key, value in items)
+    atomic_write(path, text.encode("utf-8"))
+
+
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
-    lines = [
-        f"format_version={_FORMAT_VERSION}",
-        f"role={dataset.role}",
-        f"count={len(dataset)}",
-        "shape=" + ",".join(str(s) for s in dataset.sample_shape),
-        f"has_masks={'true' if dataset.masks is not None else 'false'}",
+    items = [
+        ("format_version", _FORMAT_VERSION),
+        ("role", dataset.role),
+        ("count", len(dataset)),
+        ("shape", ",".join(str(s) for s in dataset.sample_shape)),
+        ("has_masks", "true" if dataset.masks is not None else "false"),
     ]
     if dataset.masks is not None:
-        lines.append(f"mask_shape={dataset.masks.shape[1]},{dataset.masks.shape[2]}")
-    for key, value in sorted(dataset.provenance.items()):
-        lines.append(f"prov.{key}={value}")
+        items.append(("mask_shape", f"{dataset.masks.shape[1]},{dataset.masks.shape[2]}"))
+    items += [(f"prov.{key}", value) for key, value in sorted(dataset.provenance.items())]
     samples = np.ascontiguousarray(dataset.samples, "<f8").tobytes()
     atomic_write(os.path.join(path, "samples.bin"), samples)
     atomic_write(os.path.join(path, "labels.bin"), dataset.labels.tobytes())
     if dataset.masks is not None:
         os.makedirs(os.path.join(path, "masks"), exist_ok=True)
         atomic_write(os.path.join(path, "masks", "masks.bin"), dataset.masks.tobytes())
-    manifest = "\n".join(lines) + "\n"
-    atomic_write(os.path.join(path, "manifest"), manifest.encode("utf-8"))
-
-
-def read_manifest(path: str) -> dict:
-    """The `key=value` lines of a manifest file; blank and `#` lines skipped."""
-    manifest = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                manifest[key.strip()] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read manifest: {exc}") from exc
-    return manifest
+    write_key_values(os.path.join(path, "manifest"), items)
 
 
 def _read_array(path: str, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -296,7 +310,7 @@ def _read_array(path: str, name: str, shape: tuple[int, ...], dtype) -> np.ndarr
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
     path = os.fspath(path)
-    manifest = read_manifest(os.path.join(path, "manifest"))
+    manifest = read_key_values(os.path.join(path, "manifest"))
     try:
         if int(manifest["format_version"]) != _FORMAT_VERSION:
             raise DataError(f"unsupported dataset format {manifest['format_version']}")
@@ -304,6 +318,8 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         shape = tuple(int(s) for s in manifest["shape"].split(","))
         has_masks = manifest["has_masks"]
         role = manifest["role"]
+        if has_masks == "true":
+            mask_shape = tuple(int(s) for s in manifest["mask_shape"].split(","))
     except (KeyError, ValueError) as exc:
         raise DataError(f"bad manifest in {path}: {exc}") from exc
     if has_masks not in ("true", "false"):
@@ -315,12 +331,8 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     labels = _read_array(path, "labels.bin", (count,), np.uint8)
     masks = None
     if has_masks == "true":
-        try:
-            H, W = (int(s) for s in manifest["mask_shape"].split(","))
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"bad mask_shape in {path}: {exc}") from exc
         masks_bin = os.path.join("masks", "masks.bin")
-        masks = _read_array(path, masks_bin, (count, H, W), np.uint8)
+        masks = _read_array(path, masks_bin, (count, *mask_shape), np.uint8)
     provenance = {
         key[len("prov.") :]: value
         for key, value in manifest.items()

@@ -358,9 +358,10 @@ class EvalReport:
 
 
 def throughput(scorer, samples: np.ndarray, repeats: int = 5):
-    """Median samples/sec of `scorer(samples, counter)` plus its NFE.
+    """Median samples/sec of `scorer(samples, counter)`, its NFE, and what
+    the untimed warm-up pass returned (a Scorer's ScoreTable).
 
-    One untimed warm-up pass precedes `repeats` timed passes. The timed
+    The warm-up pass precedes `repeats` timed passes. The timed
     region runs single-threaded from the harness's point of view; NFE is
     read from a fresh counter on each pass and must be stable.
     """
@@ -368,16 +369,14 @@ def throughput(scorer, samples: np.ndarray, repeats: int = 5):
         raise ParameterError("throughput needs a non-empty dataset")
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
-    scorer(samples, EvalCounter())
-    times = []
-    nfe = None
+    table = scorer(samples, EvalCounter())
+    times, nfes = [], []
     for _ in range(repeats):
         counter = EvalCounter()
         tic = time.perf_counter()
         scorer(samples, counter)
         times.append(time.perf_counter() - tic)
-        if nfe is None:
-            nfe = counter.count
-        elif nfe != counter.count:
-            raise ParameterError("scorer NFE varies across passes")
-    return len(samples) / float(np.median(times)), int(nfe)
+        nfes.append(counter.count)
+    if len(set(nfes)) != 1:
+        raise ParameterError("scorer NFE varies across passes")
+    return len(samples) / float(np.median(times)), int(nfes[0]), table

@@ -86,9 +86,9 @@ def test_c4_speedup_and_nfe_ratio(toy_run):
         RECON, toy_run.net, toy_run.schedule, t_infer=toy_run.t_infer,
         batch_size=256, recon_t_start=500, recon_steps=50, noise_seed=0,
     )
-    rate_irf, nfe_irf = throughput(irf, samples, repeats=5)
-    rate_ddim, nfe_ddim = throughput(ddim, samples, repeats=5)
-    rate_recon, nfe_recon = throughput(recon, samples, repeats=5)
+    rate_irf, nfe_irf, _ = throughput(irf, samples, repeats=5)
+    rate_ddim, nfe_ddim, _ = throughput(ddim, samples, repeats=5)
+    rate_recon, nfe_recon, _ = throughput(recon, samples, repeats=5)
     ratio = rate_irf / rate_ddim
     ok = (
         ratio >= 1.5

@@ -286,6 +286,61 @@ def test_unknown_config_key_exits_2(tmp_path):
         assert len(res.stderr.strip().splitlines()) == 1
 
 
+def _insert_line(path, index, line):
+    lines = path.read_text().splitlines()
+    lines.insert(index, line)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("place, code", [("config", 2), ("split", 3), ("score-run", 3)])
+def test_line_without_equals_exits_with_its_line_number(place, code, tiny_blob_run, tmp_path, capsys):
+    root, _, run_cfg, *_ = tiny_blob_run
+    split = tmp_path / "split"
+    save_dataset(load_dataset(root / "data" / "test"), split)
+    checkpoint = str(root / "run" / "checkpoint.bin")
+    if place == "score-run":
+        scored = tmp_path / "scored"
+        assert cli.main(["score", "--config", run_cfg, "--out", str(scored)]) == 0
+        cfg = write_config(tmp_path / "c.cfg", data=split, scores_csv=scored / "scores.csv")
+        broken = scored / "manifest"
+    else:
+        cfg = write_config(tmp_path / "c.cfg", data=split, checkpoint=checkpoint)
+        broken = Path(cfg) if place == "config" else split / "manifest"
+    _insert_line(broken, 2, "infer_batch 64")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert cli.main(["eval", "--config", cfg, "--out", str(out)]) == code
+    kind = "config" if code == 2 else "data"
+    assert capsys.readouterr().err == (
+        f"irfad: error: {kind}: {broken}:3: expected key=value, got 'infer_batch 64'\n"
+    )
+    assert not (out / "manifest").exists()
+
+
+@pytest.mark.parametrize("fault", ["normal-with-mask-pixel", "masks-below-the-field"])
+def test_split_breaking_a_mask_invariant_exits_3_before_scoring(fault, tiny_blob_run, tmp_path, capsys):
+    root, *_ = tiny_blob_run
+    split = load_dataset(root / "data" / "test")
+    assert split.labels[0] == 0 and split.masks.shape[1:] == (32, 32)
+    save_dataset(split, tmp_path / "split")
+    masks = split.masks.copy()
+    if fault == "normal-with-mask-pixel":
+        masks[0, 5, 5] = 1
+        needle = "normal sample with positive mask pixels in annotated set"
+    else:  # 4x4 masks for 8x8 fields
+        masks = masks[:, ::8, ::8]
+        _insert_line(tmp_path / "split" / "manifest", 99, "mask_shape=4,4")  # the last value wins
+        needle = "masks (4, 4) are smaller than the fields (8, 8)"
+    (tmp_path / "split" / "masks" / "masks.bin").write_bytes(masks.tobytes())
+    cfg = write_config(
+        tmp_path / "c.cfg", data=tmp_path / "split", checkpoint=root / "run" / "checkpoint.bin"
+    )
+    out = tmp_path / "o"
+    assert cli.main(["eval", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"irfad: error: data: {needle}\n"
+    assert not (out / "eval.csv").exists()
+
+
 def test_missing_dataset_exits_3(tmp_path):
     cfg = write_config(
         tmp_path / "c.cfg", data=str(tmp_path / "absent"), checkpoint="x"

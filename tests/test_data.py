@@ -1,3 +1,5 @@
+import os
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -7,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irfad import data
+from irfad.config import RunConfig, load_config_file
 from irfad.data import (
     BlobParams,
     Dataset,
     gen_blobs,
     gen_toy,
     load_dataset,
+    read_key_values,
     save_dataset,
+    write_key_values,
 )
-from irfad.errors import DataError, ParameterError
+from irfad.errors import ConfigError, DataError, ParameterError
 from irfad.rng import make_rng
 
 from oracles import blobs_per_sample
@@ -175,6 +180,103 @@ def test_annotated_abnormal_needs_positive_mask():
             labels=np.array([1], dtype=np.uint8),
             masks=np.zeros((1, 4, 4), dtype=np.uint8),
         )
+
+
+def test_annotated_normal_needs_empty_mask():
+    samples = np.zeros((2, 2, 2, 2))
+    labels = np.array([0, 1], dtype=np.uint8)
+    masks = np.zeros((2, 4, 4), dtype=np.uint8)
+    masks[1, 0, 0] = 1
+    Dataset(samples=samples, labels=labels, masks=masks)
+    masks[0, 3, 3] = 1
+    with pytest.raises(DataError, match="normal sample with positive mask pixels"):
+        Dataset(samples=samples, labels=labels, masks=masks)
+
+
+def test_masks_must_cover_the_field():
+    labels = np.array([1], dtype=np.uint8)
+    for fields, masks in (((4, 4), (4, 4)), ((4, 4), (8, 12)), ((1, 1), (1, 1))):
+        Dataset(np.zeros((1, 2, *fields)), labels, np.ones((1, *masks), dtype=np.uint8))
+    Dataset(np.zeros((1, 3)), labels, np.ones((1, 1, 1), dtype=np.uint8))  # a (3, 1, 1) field
+    for fields, masks in (((4, 4), (3, 4)), ((4, 4), (4, 3)), ((8, 8), (4, 4)), ((1, 1), (0, 1))):
+        with pytest.raises(DataError, match="smaller than the fields"):
+            Dataset(np.zeros((1, 2, *fields)), labels, np.ones((1, *masks), dtype=np.uint8))
+
+
+# -- key=value codec ----------------------------------------------------------------
+
+
+def test_key_values_skip_blank_and_comment_lines_and_keep_the_last_value(tmp_path):
+    path = tmp_path / "kv"
+    path.write_text("# note\n\n  a = 1 \nb=x=y\n  # indented\r\na=2\nc=\n\t\n")
+    assert read_key_values(path) == {"a": "2", "b": "x=y", "c": ""}
+
+
+@pytest.mark.parametrize("line", ["oops", "=5", "  = 5", "a b"])
+def test_key_values_refuse_a_line_without_key_and_equals(line, tmp_path):
+    path = tmp_path / "kv"
+    path.write_text(f"a=1\n\n{line}\nb=2\n")
+    with pytest.raises(DataError, match=f"kv:3: expected key=value, got {line.strip()!r}"):
+        read_key_values(path)
+
+
+def test_key_values_unreadable_file_is_data_error(tmp_path):
+    path = tmp_path / "kv"
+    path.write_bytes(b"a=1\nb=\xff\n")
+    with pytest.raises(DataError, match="kv: not UTF-8"):
+        read_key_values(path)
+    for absent in (tmp_path / "absent", tmp_path):  # missing, and a directory
+        with pytest.raises(DataError, match="cannot read"):
+            read_key_values(absent)
+
+
+def test_key_values_writer_bytes(tmp_path):
+    write_key_values(tmp_path / "kv", [("a", 1), ("b", "x=y"), ("a", "")])
+    assert (tmp_path / "kv").read_bytes() == b"a=1\nb=x=y\na=\n"
+    assert not (tmp_path / "kv.tmp").exists()
+
+
+def _stripped(text):
+    return text == text.strip()
+
+
+# a key holds no `=` and no line break, does not start with `#` and has no
+# surrounding whitespace; a value holds no line break and no surrounding whitespace
+_KEYS = st.text(st.characters(codec="utf-8", exclude_characters="=\n\r"), min_size=1, max_size=8).filter(
+    lambda k: _stripped(k) and not k.startswith("#")
+)
+_VALUES = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"), max_size=8).filter(_stripped)
+_NO_PAIR = st.text(st.characters(codec="utf-8", exclude_characters="=\n\r"), min_size=1, max_size=8).filter(
+    lambda line: line.strip() and not line.strip().startswith("#")
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=st.lists(st.tuples(_KEYS, _VALUES), max_size=10), bad=_NO_PAIR, pick=st.data())
+def test_key_value_codec_round_trips_and_names_a_bad_line(items, bad, pick):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kv")
+        write_key_values(path, items)
+        assert read_key_values(path) == dict(items)  # a repeated key: its last value
+
+        config = os.path.join(tmp, "run.cfg")
+        write_key_values(config, RunConfig().items())
+        split = os.path.join(tmp, "split")
+        save_dataset(Dataset(np.zeros((2, 1)), np.array([0, 1], dtype=np.uint8), None), split)
+        manifest = os.path.join(split, "manifest")
+        for target, load, error in (
+            (config, lambda: load_config_file(config, RunConfig()), ConfigError),
+            (manifest, lambda: load_dataset(split), DataError),
+        ):
+            with open(target, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            at = pick.draw(st.integers(0, len(lines)), label="bad line index")
+            lines.insert(at, bad)
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with pytest.raises(error) as excinfo:
+                load()
+            assert f"{target}:{at + 1}: expected key=value" in str(excinfo.value)
 
 
 # -- disk round trip ------------------------------------------------------------------

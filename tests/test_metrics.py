@@ -536,12 +536,14 @@ def test_throughput_counts_and_timing():
     def scorer(samples, counter: EvalCounter):
         calls.append(len(samples))
         counter.add(2 * len(samples))
+        return len(calls)
 
     samples = np.zeros((40, 2))
-    rate, nfe = throughput(scorer, samples, repeats=3)
+    rate, nfe, first = throughput(scorer, samples, repeats=3)
     assert nfe == 80
     assert rate > 0
     assert len(calls) == 4  # warm-up + repeats
+    assert first == 1  # the warm-up pass's result comes back
 
 
 def test_throughput_empty_dataset_rejected():
