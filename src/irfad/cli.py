@@ -73,13 +73,13 @@ def _score_run(scores_csv: str) -> dict[str, str]:
     return {key: manifest[key] for key in _SCORE_RUN_KEYS if key in manifest}
 
 
-def _write_manifest(out_dir: str, command: str, cfg: RunConfig) -> None:
+def _write_manifest(out_dir: str, command: str, cfg: RunConfig, source=None) -> None:
     """`command`, then every resolved config key. An `eval` from a scores
-    CSV ran no scorer: it records the scorer, step and checkpoint of the run
-    that wrote the scores, or leaves them out when that run is unknown."""
+    CSV ran no scorer: `source` is `_score_run` of its scores, and the
+    manifest records the scorer, step and checkpoint found there, or leaves
+    them out when that run is unknown."""
     items = cfg.items()
-    if command == "eval" and cfg.scores_csv:
-        source = _score_run(cfg.scores_csv)
+    if source is not None:
         items = [
             (key, source.get(key, value))
             for key, value in items
@@ -435,9 +435,12 @@ def main(argv=None) -> int:
             args.config,
             {"seed": args.seed, "t_infer": args.t, "scorer": args.scorer, "out": args.out},
         )
+        source = None
+        if args.command == "eval" and cfg.scores_csv:
+            source = _score_run(cfg.scores_csv)  # refused before any output
         os.makedirs(cfg.out, exist_ok=True)
         _COMMANDS[args.command](cfg)
-        _write_manifest(cfg.out, args.command, cfg)
+        _write_manifest(cfg.out, args.command, cfg, source)
         return 0
     except ConfigError as exc:
         print(f"irfad: error: config: {exc}", file=sys.stderr)

@@ -94,6 +94,8 @@ class RunConfig:
     def set_key(self, key: str, raw: str) -> None:
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        if "\n" in raw or "\r" in raw:  # it could not be written back as one manifest line
+            raise ConfigError(f"value for {key!r} holds a line break: {raw!r}")
         current = getattr(self, key)
         try:
             if isinstance(current, bool):

@@ -259,9 +259,13 @@ def read_key_values(path: str | os.PathLike) -> dict[str, str]:
 
 
 def write_key_values(path: str | os.PathLike, items) -> None:
-    """Write one `key=value` line per (key, value) pair, through atomic_write."""
-    text = "".join(f"{key}={value}\n" for key, value in items)
-    atomic_write(path, text.encode("utf-8"))
+    """Write one `key=value` line per (key, value) pair, through atomic_write.
+    A key or value that holds a line break would not read back: DataError."""
+    lines = [f"{key}={value}" for key, value in items]
+    for line in lines:
+        if "\n" in line or "\r" in line:
+            raise DataError(f"{path}: line break in {line!r}")
+    atomic_write(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:

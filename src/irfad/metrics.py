@@ -361,8 +361,9 @@ def throughput(scorer, samples: np.ndarray, repeats: int = 5):
     """Median samples/sec of `scorer(samples, counter)`, its NFE, and what
     the untimed warm-up pass returned (a Scorer's ScoreTable).
 
-    The warm-up pass precedes `repeats` timed passes. The timed
-    region runs single-threaded from the harness's point of view; NFE is
+    The warm-up pass precedes `repeats` timed passes, one after the other.
+    A Scorer may run a pass's batches on several threads (see `pipeline`),
+    so the rate depends on the core count and the BLAS thread count. NFE is
     read from a fresh counter on each pass and must be stable.
     """
     if len(samples) == 0:

@@ -67,7 +67,9 @@ class EvalCounter:
 
     Lives in the caller's scope rather than in global state so concurrent
     scoring runs count independently. A batched forward over n rows counts
-    as n evaluations.
+    as n evaluations. Not locked: one counter belongs to one thread. A
+    Scorer gives each of its worker threads its own counter and adds their
+    sum to the caller's after the join.
     """
 
     __slots__ = ("count",)
@@ -169,7 +171,9 @@ class NoisePredictor:
         """Layer-0 bias with step t's embedding folded in: b0 + emb(t) @ W0[d:].
 
         t must be one integer in [1, T]. Computed once per step and kept
-        read-only, since every caller shares it.
+        read-only, since every caller shares it. Two scoring threads may both
+        miss and fill the same step's entry; they compute the same bits, so
+        the race is harmless and takes no lock.
         """
         step = check_step(t, self.spec.T)
         bias = self._folded.get(step)

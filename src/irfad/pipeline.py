@@ -7,12 +7,23 @@ batches. The residual-field scorers compute each batch through
 sample, and retain the per-sample fields so pixel-level score maps can be
 produced; the multi-step baselines return image scores only.
 
+A call runs its batches on up to min(workers, batches) threads, the
+calling thread among them, where `_workers` shares the cores out among
+BLAS's own threads; with one batch or one worker no thread starts. Batches
+are independent and NumPy and BLAS release the GIL, so the threads share
+the cores without a change to any output bit or evaluation count.
+
 Scoring a pass is deterministic for a given configuration: the noisy-state
-scorer re-derives its noise stream from (seed, pass label) on every call.
+scorer re-derives its noise stream from (seed, pass label) on every call,
+and the reconstruction scorer draws each batch's noise in batch order.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +54,41 @@ class ScoreTable:
     s_diff: np.ndarray | None = None
     s_nll: np.ndarray | None = None
     deltas: np.ndarray | None = None  # (n, c, h, w) residual fields
+
+
+@functools.cache
+def _openblas_get_num_threads():
+    """`get_num_threads` of the OpenBLAS NumPy loaded, or None where it
+    cannot be found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                return get
+    return None
+
+
+def _workers() -> int:
+    """Threads for a Scorer call: the CPUs this process may run on, shared
+    out among BLAS's own threads, since every worker calls BLAS. With BLAS
+    on every core this is 1, and a call runs as one thread did before."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        cores = os.cpu_count() or 1
+    get = _openblas_get_num_threads()
+    return max(1, cores // max(1, get() if get is not None else 1))
 
 
 def field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
@@ -102,44 +148,109 @@ class Scorer:
         for start in range(0, n, self.batch_size):
             yield start, min(start + self.batch_size, n)
 
+    def _run_batches(self, n: int, score, counter, draw=None) -> None:
+        """Call `score(start, stop, noise, own_counter)` once per batch of n
+        rows, on min(workers, batches) threads, the caller's among them.
+
+        Threads take their next batch from one lock-guarded iterator and draw
+        its `noise = draw(start, stop)` (None without `draw`) under that lock,
+        so a random stream is consumed in batch order whichever thread takes
+        the batch. Each thread
+        counts on its own EvalCounter, so the one-evaluation check in `irf`
+        sees its own batch only; after the join `counter` gains the sum by
+        `count +=`, since each evaluation already passed through `add` once.
+        The first failure stops the other threads from taking batches and is
+        re-raised once every thread has been joined.
+        """
+        spans = self._batches(n)
+        batches = -(-n // self.batch_size)
+        workers = min(_workers(), batches) if batches > 1 else 1
+        counters = [EvalCounter() for _ in range(workers)]
+        lock = threading.Lock()
+        errors: list[BaseException] = []
+
+        def work(own: EvalCounter) -> None:
+            try:
+                while not errors:
+                    with lock:
+                        span = next(spans, None)
+                        if span is None:
+                            return
+                        noise = draw(*span) if draw is not None else None
+                    score(*span, noise, own)
+                    del noise  # at most one batch of noise per thread
+            except BaseException as exc:
+                errors.append(exc)
+
+        started = []
+        try:
+            for own in counters[1:]:
+                thread = threading.Thread(target=work, args=(own,), name="irfad-scorer")
+                thread.start()
+                started.append(thread)
+            work(counters[0])
+        except BaseException as exc:  # a thread that would not start, or an interrupt
+            errors.append(exc)
+        finally:
+            for thread in started:
+                while thread.is_alive():
+                    try:
+                        thread.join()
+                    except BaseException as exc:  # interrupted while joining
+                        errors.append(exc)
+        if errors:
+            error = errors[0]
+            errors.clear()  # the traceback's frames hold this list
+            raise error
+        if counter is not None:
+            counter.count += sum(own.count for own in counters)
+
     def _score_irf(self, fields, counter) -> ScoreTable:
         eps = None
         if self.kind == IRF_NOISY:
             eps = make_rng(self.noise_seed, "score-noisy").standard_normal(fields.shape)
         deltas = np.empty(fields.shape)
-        for start, stop in self._batches(len(fields)):
+
+        def score(start, stop, noise, own):
             x0 = fields[start:stop]
             if eps is None:
-                res = irf_mean(self.net, self.schedule, x0, self.t_infer, counter)
+                res = irf_mean(self.net, self.schedule, x0, self.t_infer, own)
             else:
-                res = irf_noisy(
-                    self.net, self.schedule, x0, self.t_infer, eps[start:stop], counter
-                )
+                res = irf_noisy(self.net, self.schedule, x0, self.t_infer, eps[start:stop], own)
             deltas[start:stop] = res.delta
+
+        self._run_batches(len(fields), score, counter)
         s_diff, s_nll = image_scores(deltas)
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
 
     def _score_baseline(self, X, counter) -> ScoreTable:
-        n = X.shape[0]
+        n, d = X.shape
         scores = np.empty(n)
-        rng = make_rng(self.noise_seed, "score-recon") if self.kind == RECON else None
-        for start, stop in self._batches(n):
-            xb = X[start:stop]
-            if self.kind == RECON:
-                noise = baselines.draw_recon_noise(rng, xb.shape, self.recon_steps)
+        draw = None
+        if self.kind == RECON:
+            rng = make_rng(self.noise_seed, "score-recon")
+
+            def draw(start, stop):
+                return baselines.draw_recon_noise(rng, (stop - start, d), self.recon_steps)
+
+            def score(start, stop, noise, own):
                 scores[start:stop] = baselines.reconstruct_batch(
                     self.net,
                     self.schedule,
-                    xb,
+                    X[start:stop],
                     self.recon_t_start,
                     self.recon_steps,
                     noise,
-                    counter,
+                    own,
                 )
-            else:
+        else:
+
+            def score(start, stop, noise, own):
                 scores[start:stop] = baselines.ddim_invert_batch(
-                    self.net, self.schedule, xb, self.ddim_steps, counter
+                    self.net, self.schedule, X[start:stop], self.ddim_steps, own
                 )
+
+        self._run_batches(n, score, counter, draw)
         return ScoreTable(s=scores)
 
 

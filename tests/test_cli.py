@@ -781,6 +781,40 @@ def test_eval_copies_the_default_step_of_the_score_run(tiny_blob_run, tmp_path):
     assert "\nt_infer=500\n" in (tmp_path / "out" / "manifest").read_text()
 
 
+def test_eval_refuses_a_bad_score_manifest_before_any_output(tiny_blob_run, tmp_path, capsys):
+    root, *_ = tiny_blob_run
+    cfg = write_config(
+        tmp_path / "score.cfg", data=str(root / "data" / "test"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+    )
+    scored = tmp_path / "scored"
+    assert cli.main(["score", "--config", cfg, "--out", str(scored)]) == 0
+    with open(scored / "manifest", "a") as fh:
+        fh.write("oops\n")
+    cfg = write_config(
+        tmp_path / "eval.cfg", data=str(root / "data" / "test"),
+        scores_csv=str(scored / "scores.csv"),
+    )
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("irfad: error: data:") and "expected key=value" in captured.err
+    assert not (out / "eval.csv").exists() and not (out / "manifest").exists()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+def test_line_break_in_a_value_is_a_config_error(brk, tmp_path, capsys):
+    out = tmp_path / f"nl{brk}x"
+    assert cli.main(["score", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("irfad: error: config:") and "line break" in err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="line break"):
+        resolve_config(None, {"seed": f"5{brk}"})
+
+
 def test_gen_count_beyond_memory_exits_with_its_kind(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path / "c.cfg", data="blobs", n_train=2**70)
     assert cli.main(["gen", "--config", cfg, "--out", str(tmp_path / "a")]) == 2

@@ -236,6 +236,13 @@ def test_key_values_writer_bytes(tmp_path):
     assert not (tmp_path / "kv.tmp").exists()
 
 
+@pytest.mark.parametrize("item", [("out", "nl\nx"), ("out", "cr\rx"), ("a\nb", "1"), ("a\r", "1")])
+def test_key_values_writer_refuses_a_line_break(item, tmp_path):
+    with pytest.raises(DataError, match="line break"):
+        write_key_values(tmp_path / "kv", [("command", "score"), item])
+    assert not (tmp_path / "kv").exists()
+
+
 def _stripped(text):
     return text == text.strip()
 

@@ -1,24 +1,32 @@
-from dataclasses import FrozenInstanceError
+import os
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from irfad import metrics
+from irfad import cli, metrics, pipeline
+from irfad.baselines import ddim_invert_batch, draw_recon_noise, reconstruct_batch
 from irfad.data import gen_blobs
 from irfad.errors import NumericError, ParameterError
-from irfad.net import EvalCounter, NoisePredictor
+from irfad.irf import irf_mean, irf_noisy
+from irfad.net import EvalCounter, NoisePredictor, save_checkpoint
 from irfad.pipeline import (
     DDIM,
     IRF_MEAN,
     IRF_NOISY,
     RECON,
+    ScoreTable,
     Scorer,
     evaluate_scorer,
     pixel_maps,
 )
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
-from irfad.scoring import image_score
+from irfad.scoring import image_score, image_scores
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +174,179 @@ def test_dataset_dim_mismatch_rejected(setup):
     scorer = Scorer(IRF_MEAN, net, schedule, t_infer=10)
     with pytest.raises(ParameterError):
         scorer(np.zeros((4, 7)))
+
+
+# -- batches on several threads ----------------------------------------------------
+
+KINDS = (IRF_MEAN, IRF_NOISY, RECON, DDIM)
+NFE_PER_SAMPLE = {IRF_MEAN: 1, IRF_NOISY: 1, RECON: 3, DDIM: 2}
+MORE_THAN_CORES = (os.cpu_count() or 1) + 3
+# 23 rows in batches of 2: 12 batches, the last one a single row
+ROWS = make_rng(7, "test-pipeline-rows").standard_normal((23, 2, 4, 4))
+
+
+def _scorer(net, schedule, kind):
+    return Scorer(kind, net, schedule, t_infer=10, batch_size=2, noise_seed=4,
+                  recon_t_start=50, recon_steps=3, ddim_steps=2)
+
+
+def _serial(scorer, samples, counter):
+    """The reference: one batch after another on this thread, recon noise
+    drawn batch by batch."""
+    n = len(samples)
+    if scorer.kind in (IRF_MEAN, IRF_NOISY):
+        if scorer.kind == IRF_NOISY:
+            eps = make_rng(scorer.noise_seed, "score-noisy").standard_normal(samples.shape)
+        deltas = np.empty(samples.shape)
+        for start, stop in scorer._batches(n):
+            if scorer.kind == IRF_MEAN:
+                res = irf_mean(scorer.net, scorer.schedule, samples[start:stop],
+                               scorer.t_infer, counter)
+            else:
+                res = irf_noisy(scorer.net, scorer.schedule, samples[start:stop],
+                                scorer.t_infer, eps[start:stop], counter)
+            deltas[start:stop] = res.delta
+        s_diff, s_nll = image_scores(deltas)
+        return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
+    X = samples.reshape(n, -1)
+    s = np.empty(n)
+    rng = make_rng(scorer.noise_seed, "score-recon")
+    for start, stop in scorer._batches(n):
+        if scorer.kind == RECON:
+            noise = draw_recon_noise(rng, X[start:stop].shape, scorer.recon_steps)
+            s[start:stop] = reconstruct_batch(scorer.net, scorer.schedule, X[start:stop],
+                                              scorer.recon_t_start, scorer.recon_steps,
+                                              noise, counter)
+        else:
+            s[start:stop] = ddim_invert_batch(scorer.net, scorer.schedule, X[start:stop],
+                                              scorer.ddim_steps, counter)
+    return ScoreTable(s=s)
+
+
+def _assert_same_bits(got, want):
+    for name in ("s", "s_diff", "s_nll", "deltas"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2, MORE_THAN_CORES])
+@pytest.mark.parametrize("kind", KINDS)
+def test_parallel_scorer_matches_the_serial_loop(setup, monkeypatch, kind, workers):
+    schedule, net, _ = setup
+    scorer = _scorer(net, schedule, kind)
+    want_counter = EvalCounter()
+    want = _serial(scorer, ROWS, want_counter)
+    assert want_counter.count == NFE_PER_SAMPLE[kind] * len(ROWS)
+
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    counter = EvalCounter()
+    counter.count = 5  # the call adds to what the caller counted before
+    got = scorer(ROWS, counter)
+    _assert_same_bits(got, want)
+    assert counter.count == 5 + want_counter.count
+    assert len(started) == min(workers, 12) - 1  # the calling thread is one worker
+    started.clear()
+    scorer(ROWS[:2])  # one batch: no thread starts
+    assert started == []
+
+
+@pytest.mark.parametrize("blas, cores, workers", [(None, 4, 4), (1, 4, 4), (2, 4, 2), (3, 4, 1), (8, 4, 1)])
+def test_workers_share_the_cores_with_blas_threads(monkeypatch, blas, cores, workers):
+    monkeypatch.setattr(pipeline, "_openblas_get_num_threads", lambda: blas and (lambda: blas))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert pipeline._workers() == workers
+
+
+@pytest.mark.parametrize("blas", ["1", "2"])
+def test_workers_read_the_blas_thread_count_numpy_runs_with(blas):
+    code = ("from irfad import pipeline; get = pipeline._openblas_get_num_threads(); "
+            "print(get() if get else 0, pipeline._workers())")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    threads, workers = map(int, run.stdout.split())
+    if threads == 0:
+        pytest.skip("NumPy's BLAS here is not an OpenBLAS that can be asked")
+    assert threads <= int(blas)
+    assert workers == max(1, len(os.sched_getaffinity(0)) // threads)
+
+
+def test_parallel_scorer_under_fast_thread_switching(setup, monkeypatch):
+    schedule, net, _ = setup
+    scorers = [_scorer(net, schedule, kind) for kind in KINDS]
+    wants = [_serial(scorer, ROWS, None) for scorer in scorers]
+    monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        while True:
+            for scorer, want in zip(scorers, wants):
+                counter = EvalCounter()
+                _assert_same_bits(scorer(ROWS, counter), want)
+                assert counter.count == NFE_PER_SAMPLE[scorer.kind] * len(ROWS)
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parallel_scorer_failure_stops_and_joins_every_thread(setup, monkeypatch, kind):
+    schedule, net, _ = setup
+    samples = ROWS.copy()
+    samples[11, 1, 2, 3] = np.nan  # in the sixth of twelve batches
+    monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="non-finite network input"):
+        _scorer(net, schedule, kind)(samples, EvalCounter())
+    assert threading.active_count() == before
+
+
+def test_parallel_scorer_failure_keeps_the_cli_exit_code(setup, monkeypatch, tmp_path, capsys):
+    schedule, net, test_ds = setup
+    samples = np.concatenate([test_ds.samples] * 3)
+    samples[11, 1, 2, 3] = np.nan  # the split loader would refuse it: inject past it
+    split = replace(test_ds, samples=samples, labels=np.tile(test_ds.labels, 3),
+                    masks=np.concatenate([test_ds.masks] * 3))
+    monkeypatch.setattr(cli, "_load_run_dataset", lambda path: split)
+    monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
+    save_checkpoint(net, tmp_path / "checkpoint.bin")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"T = 100\ninfer_batch = 2\ncheckpoint = {tmp_path / 'checkpoint.bin'}\n")
+    before = threading.active_count()
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--config", str(cfg), "--t", "10", "--out", str(out)]) == 4
+    assert threading.active_count() == before
+    assert capsys.readouterr().err.startswith("irfad: error: numeric: non-finite network input")
+    assert not (out / "eval.csv").exists()
+
+
+def test_parallel_scorer_interrupt_stops_and_joins_every_thread(setup, monkeypatch):
+    schedule, net, _ = setup
+    calls = []
+
+    def interrupted(*args):
+        calls.append(args)
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        time.sleep(0.01)  # the other thread is mid-batch when the interrupt comes
+        return irf_mean(*args)
+
+    monkeypatch.setattr(pipeline, "irf_mean", interrupted)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _scorer(net, schedule, IRF_MEAN)(ROWS)
+    assert threading.active_count() == before
+    assert len(calls) < 12  # no thread took a batch after the interrupt
