@@ -24,6 +24,8 @@ counter, when given, gains one evaluation per row per step.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 import numpy as np
 
 from .errors import ParameterError, ShapeError
@@ -59,17 +61,28 @@ def reconstruct_batch(
     x0: np.ndarray,
     t_start: int,
     steps: int,
-    noise: tuple[np.ndarray, list[np.ndarray]],
+    noise: Sequence[np.ndarray],
     counter: EvalCounter | None = None,
+    ready: Callable[[int], None] | None = None,
 ) -> np.ndarray:
-    """Per-row mean squared reconstruction error of a (B, d) batch."""
+    """Per-row mean squared reconstruction error of a (B, d) batch.
+
+    `noise` holds the chain's `steps` (B, d) slots in draw order (see
+    `draw_recon_noise`): noise[0] is the jump noise and noise[j] the noise
+    the j-th reverse step injects, j = 1 .. steps - 1, so the chain reads
+    its slots in the order they are drawn. `ready(j)`, when given, is
+    called before noise[j] is first read and returns once that slot has
+    been drawn, so the chain can start while later slots are still being
+    drawn on another thread.
+    """
     t_start = check_step(t_start, schedule.T)
     x0 = _as_batch(net, x0)
     taus = substep_grid(t_start, steps)
-    jump_eps, zs = noise
-    if jump_eps.shape != x0.shape or len(zs) != steps - 1:
+    if len(noise) != steps or any(np.shape(z) != x0.shape for z in noise):
         raise ShapeError("noise does not match batch shape or step count")
-    xt = q_sample(schedule, x0, t_start, jump_eps)
+    if ready is not None:
+        ready(0)
+    xt = q_sample(schedule, x0, t_start, noise[0])
     for k in range(steps, 0, -1):
         t_hi, t_lo = int(taus[k]), int(taus[k - 1])
         abar_hi = schedule.alpha_bar(t_hi)
@@ -78,16 +91,30 @@ def reconstruct_batch(
         eps_hat = predict_noise(net, xt, t_hi, counter)
         xt = (xt - beta_eff / np.sqrt(1.0 - abar_hi) * eps_hat) / np.sqrt(1.0 - beta_eff)
         if k > 1:
-            xt = xt + np.sqrt(beta_eff) * zs[steps - k]
+            j = steps - k + 1
+            if ready is not None:
+                ready(j)
+            xt = xt + np.sqrt(beta_eff) * noise[j]
     return np.mean((x0 - xt) ** 2, axis=1)
 
 
 def draw_recon_noise(
-    rng: np.random.Generator, shape: tuple[int, int], steps: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Draw order: jump noise first, then one array per intermediate step."""
-    jump_eps = rng.standard_normal(shape)
-    return jump_eps, [rng.standard_normal(shape) for _ in range(steps - 1)]
+    rng: np.random.Generator,
+    out: Sequence[np.ndarray],
+    drawn: Callable[[int], None] | None = None,
+) -> Sequence[np.ndarray]:
+    """Fill a chain's `steps` (B, d) slots with standard normals, in place,
+    and return them; `out` may be a list of arrays or one (steps, B, d) array.
+
+    Draw order: the jump noise out[0] first, then one slot per noise-
+    injecting reverse step, out[1] .. out[steps - 1]. With `drawn`,
+    drawn(k) is called once slot k is in, so another thread can read it.
+    """
+    for k in range(len(out)):
+        rng.standard_normal(out=out[k])
+        if drawn is not None:
+            drawn(k)
+    return out
 
 
 def ddim_invert_batch(

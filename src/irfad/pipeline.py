@@ -9,28 +9,41 @@ produced; the multi-step baselines return image scores only.
 
 A call runs its batches on up to min(workers, batches) threads, the
 calling thread among them, where `_workers` shares the cores out among
-BLAS's own threads; with one batch or one worker no thread starts. Batches
-are independent and NumPy and BLAS release the GIL, so the threads share
-the cores without a change to any output bit or evaluation count.
+BLAS's own threads; with one batch or one worker no scoring thread
+starts. Batches are independent and NumPy and BLAS release the GIL, so
+the threads share the cores without a change to any output bit or
+evaluation count.
 
-Scoring a pass is deterministic for a given configuration: the noisy-state
-scorer re-derives its noise stream from (seed, pass label) on every call,
-and the reconstruction scorer draws each batch's noise in batch order.
+Both stochastic scorers draw their noise per batch, in batch order, into
+arrays the thread taking the batch allocates, so the bits are those of
+one thread scoring the batches in order and a thread holds one batch of
+noise at a time. The noisy-state scorer's array is filled as the batch
+is taken. The reconstruction chain reads its `steps` (rows, d) slots one
+step at a time, so when a call has fewer batches than workers, and a
+core would idle, one producer thread (`irfad-noise`) draws the slots
+there while the chains run; otherwise they are filled as the batch is
+taken. Scoring a pass is deterministic for a given configuration: each
+call re-derives its noise stream from (seed, pass label).
+
+Every call refuses non-finite scores with a NumericError before it
+returns, so no caller writes them.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import os
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines
 from .data import Dataset
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .metrics import EvalReport, aupro, auroc, average_precision, f1_max, shared_ranking
 from .irf import irf_mean, irf_noisy
 from .net import EvalCounter, NoisePredictor
@@ -100,6 +113,95 @@ def field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
     raise ParameterError(f"unsupported sample shape {sample_shape}")
 
 
+class _Stopped(Exception):
+    """A batch or a draw abandoned because another thread failed first."""
+
+
+@dataclass(frozen=True)
+class _Noise:
+    """A random stream that `Scorer._run_batches` draws batch by batch, in
+    batch order, into buffers the thread taking the batch allocates."""
+
+    alloc: Callable  # alloc(rows): an unfilled buffer for a batch of that many rows
+    draw: Callable  # draw(buf) fills buf from the stream
+    # stepwise: buf is a sequence of slots that the batch reads in order,
+    # each after ready(k), and draw(buf, drawn) fills them in that order and
+    # calls drawn(k) once slot k is in (baselines.draw_recon_noise)
+    stepwise: bool = False
+
+
+class _NoiseProducer:
+    """One thread, `irfad-noise`, that draws submitted buffers slot by slot,
+    in submission order, while the threads that submitted them run.
+
+    A worker submits under the batch lock, so the stream is consumed in
+    batch order. A failure recorded in `errors` by any thread stops the
+    draw at the next slot; a failure of the draw itself is recorded there,
+    and either way a worker waiting for a slot is woken with `_Stopped`.
+    """
+
+    def __init__(self, draw: Callable, errors: list[BaseException]):
+        self._draw = draw
+        self._errors = errors
+        self._cond = threading.Condition()
+        self._jobs: collections.deque = collections.deque()
+        self._closed = False
+        self._done = False
+        self.thread = threading.Thread(target=self._run, name="irfad-noise")
+
+    def submit(self, buf) -> Callable[[int], None]:
+        """Queue a batch's slots for drawing; returns `ready(k)`, which
+        waits until slot k is drawn."""
+        drawn = [0]  # slots of buf drawn so far, written under the condition
+
+        def ready(k: int) -> None:
+            if drawn[0] > k:
+                return
+            with self._cond:
+                while drawn[0] <= k:
+                    if self._done:
+                        raise _Stopped
+                    self._cond.wait()
+
+        with self._cond:
+            self._jobs.append((buf, drawn))
+            self._cond.notify_all()
+        return ready
+
+    def close(self) -> None:
+        """Let the thread end once the queued buffers are drawn."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+
+    def _run(self) -> None:
+        try:
+            while True:
+                with self._cond:
+                    while not self._jobs and not self._closed:
+                        self._cond.wait()
+                    if not self._jobs:
+                        return
+                    buf, drawn = self._jobs.popleft()
+                self._draw(buf, functools.partial(self._drawn, drawn))
+                del buf, drawn
+        except _Stopped:
+            pass
+        except BaseException as exc:
+            self._errors.append(exc)
+        finally:
+            with self._cond:
+                self._done = True
+                self._cond.notify_all()
+
+    def _drawn(self, drawn: list[int], k: int) -> None:
+        with self._cond:
+            drawn[0] = k + 1
+            self._cond.notify_all()
+        if self._errors:
+            raise _Stopped
+
+
 class Scorer:
     """One scoring rule over batches; callable as scorer(samples, counter)."""
 
@@ -140,64 +242,101 @@ class Scorer:
             raise ParameterError(
                 f"dataset dim {X.shape[1]} != checkpoint dim {self.net.spec.d}"
             )
-        if self.kind in (IRF_MEAN, IRF_NOISY):
-            return self._score_irf(X.reshape((n,) + cshape), counter)
-        return self._score_baseline(X, counter)
+        # an overflow shows as a non-finite score, refused below for every scorer
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind in (IRF_MEAN, IRF_NOISY):
+                table = self._score_irf(X.reshape((n,) + cshape), counter)
+            else:
+                table = self._score_baseline(X, counter)
+        bad = np.flatnonzero(~np.isfinite(table.s))
+        if bad.size:
+            raise NumericError(
+                f"non-finite {self.kind} scores for {bad.size} of {n} samples "
+                f"(first: sample {bad[0]})"
+            )
+        return table
 
     def _batches(self, n: int):
         for start in range(0, n, self.batch_size):
             yield start, min(start + self.batch_size, n)
 
-    def _run_batches(self, n: int, score, counter, draw=None) -> None:
-        """Call `score(start, stop, noise, own_counter)` once per batch of n
-        rows, on min(workers, batches) threads, the caller's among them.
+    def _run_batches(self, n: int, score, counter, noise: _Noise | None = None) -> None:
+        """Call `score(start, stop, own_counter, buf, ready)` once per batch
+        of n rows, on min(workers, batches) threads, the caller's among them.
 
-        Threads take their next batch from one lock-guarded iterator and draw
-        its `noise = draw(start, stop)` (None without `draw`) under that lock,
-        so a random stream is consumed in batch order whichever thread takes
-        the batch. Each thread
-        counts on its own EvalCounter, so the one-evaluation check in `irf`
-        sees its own batch only; after the join `counter` gains the sum by
-        `count +=`, since each evaluation already passed through `add` once.
-        The first failure stops the other threads from taking batches and is
-        re-raised once every thread has been joined.
+        Threads take their next batch from one lock-guarded iterator. With
+        `noise`, the thread that takes a batch allocates its noise `buf`
+        under that lock and either fills it there (`ready` is None) or,
+        when the stream is stepwise and the call has fewer batches than
+        workers, hands it to one producer thread that draws it slot by
+        slot on the idle core (`ready(k)` waits for slot k). Either way the
+        stream is consumed in batch order whichever thread takes the batch,
+        and a thread holds at most one batch of noise. Each thread counts
+        on its own EvalCounter, so the one-evaluation check in `irf` sees
+        its own batch only; after the join `counter` gains the sum by
+        `count +=`, since each evaluation already passed through `add`
+        once. Threads compute under the caller's floating-point error
+        handling. The first failure on any thread stops the others from
+        taking batches, and the producer from drawing, and is re-raised
+        once every thread has been joined.
         """
         spans = self._batches(n)
         batches = -(-n // self.batch_size)
-        workers = min(_workers(), batches) if batches > 1 else 1
-        counters = [EvalCounter() for _ in range(workers)]
+        cores = _workers()
+        counters = [EvalCounter() for _ in range(min(cores, batches))]
         lock = threading.Lock()
         errors: list[BaseException] = []
+        fp_errors = np.geterr()
+        producer = None
+        if noise is not None and noise.stepwise and batches < cores:
+            producer = _NoiseProducer(noise.draw, errors)
 
         def work(own: EvalCounter) -> None:
             try:
-                while not errors:
-                    with lock:
-                        span = next(spans, None)
-                        if span is None:
-                            return
-                        noise = draw(*span) if draw is not None else None
-                    score(*span, noise, own)
-                    del noise  # at most one batch of noise per thread
+                with np.errstate(**fp_errors):
+                    while not errors:
+                        with lock:
+                            span = next(spans, None)
+                            if span is None:
+                                return
+                            buf = ready = None
+                            if noise is not None:
+                                buf = noise.alloc(span[1] - span[0])
+                                if producer is None:
+                                    noise.draw(buf)
+                                else:
+                                    ready = producer.submit(buf)
+                        score(*span, own, buf, ready)
+                        del buf, ready  # at most one batch of noise per thread
+            except _Stopped:
+                pass  # the failure that stopped the producer is already recorded
             except BaseException as exc:
                 errors.append(exc)
 
-        started = []
+        def join(thread, wake=None):
+            while thread.is_alive():  # False for a thread that never started
+                try:
+                    if wake is not None:
+                        wake()
+                    thread.join()
+                except BaseException as exc:  # interrupted while joining
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(own,), name="irfad-scorer")
+                   for own in counters[1:]]
         try:
-            for own in counters[1:]:
-                thread = threading.Thread(target=work, args=(own,), name="irfad-scorer")
+            if producer is not None:
+                producer.thread.start()
+            for thread in threads:
                 thread.start()
-                started.append(thread)
             work(counters[0])
         except BaseException as exc:  # a thread that would not start, or an interrupt
             errors.append(exc)
         finally:
-            for thread in started:
-                while thread.is_alive():
-                    try:
-                        thread.join()
-                    except BaseException as exc:  # interrupted while joining
-                        errors.append(exc)
+            for thread in threads:
+                join(thread)
+            if producer is not None:  # last: until the others are joined one may wait on it
+                join(producer.thread, producer.close)
         if errors:
             error = errors[0]
             errors.clear()  # the traceback's frames hold this list
@@ -206,51 +345,56 @@ class Scorer:
             counter.count += sum(own.count for own in counters)
 
     def _score_irf(self, fields, counter) -> ScoreTable:
-        eps = None
+        noise = None
         if self.kind == IRF_NOISY:
-            eps = make_rng(self.noise_seed, "score-noisy").standard_normal(fields.shape)
+            rng = make_rng(self.noise_seed, "score-noisy")
+            noise = _Noise(lambda rows: np.empty((rows,) + fields.shape[1:]),
+                           lambda out: rng.standard_normal(out=out))
         deltas = np.empty(fields.shape)
 
-        def score(start, stop, noise, own):
+        def score(start, stop, own, eps, ready):
             x0 = fields[start:stop]
             if eps is None:
                 res = irf_mean(self.net, self.schedule, x0, self.t_infer, own)
             else:
-                res = irf_noisy(self.net, self.schedule, x0, self.t_infer, eps[start:stop], own)
+                res = irf_noisy(self.net, self.schedule, x0, self.t_infer, eps, own)
             deltas[start:stop] = res.delta
 
-        self._run_batches(len(fields), score, counter)
+        self._run_batches(len(fields), score, counter, noise)
         s_diff, s_nll = image_scores(deltas)
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
 
     def _score_baseline(self, X, counter) -> ScoreTable:
         n, d = X.shape
         scores = np.empty(n)
-        draw = None
+        noise = None
         if self.kind == RECON:
             rng = make_rng(self.noise_seed, "score-recon")
+            # one array per slot, as the serial draw allocated them: with one
+            # (steps, rows, d) block (13 MB for a blob batch) the blob
+            # benchmark's peak RSS read 1-9 MiB above the parent's
+            noise = _Noise(lambda rows: [np.empty((rows, d)) for _ in range(self.recon_steps)],
+                           functools.partial(baselines.draw_recon_noise, rng), stepwise=True)
 
-            def draw(start, stop):
-                return baselines.draw_recon_noise(rng, (stop - start, d), self.recon_steps)
-
-            def score(start, stop, noise, own):
+            def score(start, stop, own, buf, ready):
                 scores[start:stop] = baselines.reconstruct_batch(
                     self.net,
                     self.schedule,
                     X[start:stop],
                     self.recon_t_start,
                     self.recon_steps,
-                    noise,
+                    buf,
                     own,
+                    ready,
                 )
         else:
 
-            def score(start, stop, noise, own):
+            def score(start, stop, own, buf, ready):
                 scores[start:stop] = baselines.ddim_invert_batch(
                     self.net, self.schedule, X[start:stop], self.ddim_steps, own
                 )
 
-        self._run_batches(n, score, counter, draw)
+        self._run_batches(n, score, counter, noise)
         return ScoreTable(s=scores)
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the reference toy and blob runs, trained once per session."""
 
+import threading
 import time
 from types import SimpleNamespace
 
@@ -30,6 +31,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, ok, detail in ACCEPTANCE_LOG:
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"[{status}] {name}: {detail}")
+
+
+@pytest.fixture(autouse=True)
+def no_irfad_thread_left():
+    """Fail any test that leaves a scoring or noise thread (irfad-*) alive."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("irfad-")]
+    assert not left, f"threads still alive after the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -60,7 +60,7 @@ def test_recon_zero_net_zero_noise_recovers_input(schedule, zero_net):
     # x0 -> sqrt(abar) x0 -> x0, so the reconstruction error vanishes
     x0 = np.array([[1.0, -2.0, 0.5, 3.0]])
     steps = 5
-    noise = (np.zeros((1, 4)), [np.zeros((1, 4)) for _ in range(steps - 1)])
+    noise = np.zeros((steps, 1, 4))
     counter = EvalCounter()
     score = reconstruct_batch(zero_net, schedule, x0, 500, steps, noise, counter)
     assert score.shape == (1,)
@@ -86,7 +86,7 @@ def test_recon_zero_net_matches_closed_form_chain(schedule, zero_net):
             x = x + np.sqrt(beta_eff) * zs[steps - k]
     expected = np.mean((x0 - x) ** 2)
 
-    noise = (jump[None], [z[None] for z in zs])
+    noise = np.stack([jump] + zs)[:, None]
     score = reconstruct_batch(zero_net, schedule, x0[None], t_start, steps, noise)
     assert score[0] == pytest.approx(expected, rel=1e-12)
     assert score[0] > 0.0
@@ -95,7 +95,7 @@ def test_recon_zero_net_matches_closed_form_chain(schedule, zero_net):
 def test_recon_single_step_from_t1(schedule, zero_net):
     counter = EvalCounter()
     reconstruct_batch(
-        zero_net, schedule, np.ones((1, 4)), 1, 1, (np.zeros((1, 4)), []), counter
+        zero_net, schedule, np.ones((1, 4)), 1, 1, np.zeros((1, 1, 4)), counter
     )
     assert counter.count == 1
 
@@ -104,11 +104,11 @@ def test_recon_deterministic_given_rng_seed(schedule, zero_net):
     x0 = np.ones((1, 4))
     a = reconstruct_batch(
         zero_net, schedule, x0, 300, 10,
-        draw_recon_noise(make_rng(3, "recon-stream"), x0.shape, 10),
+        draw_recon_noise(make_rng(3, "recon-stream"), np.empty((10,) + x0.shape)),
     )
     b = reconstruct_batch(
         zero_net, schedule, x0, 300, 10,
-        draw_recon_noise(make_rng(3, "recon-stream"), x0.shape, 10),
+        draw_recon_noise(make_rng(3, "recon-stream"), np.empty((10,) + x0.shape)),
     )
     assert a[0] == b[0]
 
@@ -118,13 +118,13 @@ def test_recon_step_budget_validation(schedule, zero_net):
     with pytest.raises(ParameterError):
         reconstruct_batch(
             zero_net, schedule, x0, 5, 6,
-            draw_recon_noise(make_rng(0, "x"), x0.shape, 6),
+            draw_recon_noise(make_rng(0, "x"), np.empty((6,) + x0.shape)),
         )
     with pytest.raises(ParameterError):
-        reconstruct_batch(zero_net, schedule, x0, 5, 0, (np.zeros((1, 4)), []))
+        reconstruct_batch(zero_net, schedule, x0, 5, 0, np.zeros((0, 1, 4)))
     with pytest.raises(ParameterError):
         reconstruct_batch(
-            zero_net, schedule, x0, np.array([5]), 1, (np.zeros((1, 4)), [])
+            zero_net, schedule, x0, np.array([5]), 1, np.zeros((1, 1, 4))
         )
 
 
@@ -133,7 +133,7 @@ def test_counters_shared_with_scoring_context(schedule, zero_net):
     ddim_invert_batch(zero_net, schedule, np.ones((1, 4)), 3, counter)
     reconstruct_batch(
         zero_net, schedule, np.ones((1, 4)), 100, 7,
-        (np.zeros((1, 4)), [np.zeros((1, 4))] * 6), counter,
+        np.zeros((7, 1, 4)), counter,
     )
     assert counter.count == 10
 

@@ -14,7 +14,7 @@ from irfad import cli
 from irfad.config import resolve_config
 from irfad.data import Dataset, gen_toy, load_dataset, save_dataset
 from irfad.errors import ConfigError, ParameterError
-from irfad.pipeline import ScoreTable, pixel_maps
+from irfad.pipeline import SCORER_KINDS, ScoreTable, pixel_maps
 from irfad.rng import make_rng
 from irfad.trainer import TrainLog
 
@@ -364,6 +364,23 @@ def test_eval_on_nan_sample_exits_3(tiny_blob_run, tmp_path):
     assert res.returncode == 3
     assert res.stderr.strip().startswith("irfad: error: data:")
     assert "non-finite" in res.stderr
+
+
+@pytest.mark.parametrize("scorer", SCORER_KINDS)
+def test_score_refuses_non_finite_scores_before_any_output(scorer, tiny_blob_run, tmp_path, capsys):
+    root, *_ = tiny_blob_run
+    split = load_dataset(root / "data" / "test")
+    split.samples[7] = 1e200  # finite, so the loader takes it; its score is not
+    save_dataset(split, tmp_path / "split")
+    cfg = write_config(
+        tmp_path / "c.cfg", data=tmp_path / "split", checkpoint=root / "run" / "checkpoint.bin"
+    )
+    out = tmp_path / "o"
+    assert cli.main(["score", "--config", cfg, "--scorer", scorer, "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("irfad: error: numeric: non-finite"), lines
+    assert not (out / "scores.csv").exists()
+    assert not (out / "manifest").exists()
 
 
 def test_eval_with_nan_checkpoint_exits_3(tiny_blob_run, tmp_path):

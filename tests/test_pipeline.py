@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from irfad import cli, metrics, pipeline
+from irfad import baselines, cli, metrics, pipeline
 from irfad.baselines import ddim_invert_batch, draw_recon_noise, reconstruct_batch
 from irfad.data import gen_blobs
 from irfad.errors import NumericError, ParameterError
@@ -213,7 +213,7 @@ def _serial(scorer, samples, counter):
     rng = make_rng(scorer.noise_seed, "score-recon")
     for start, stop in scorer._batches(n):
         if scorer.kind == RECON:
-            noise = draw_recon_noise(rng, X[start:stop].shape, scorer.recon_steps)
+            noise = draw_recon_noise(rng, np.empty((scorer.recon_steps, stop - start, X.shape[1])))
             s[start:stop] = reconstruct_batch(scorer.net, scorer.schedule, X[start:stop],
                                               scorer.recon_t_start, scorer.recon_steps,
                                               noise, counter)
@@ -231,33 +231,61 @@ def _assert_same_bits(got, want):
             assert a.tobytes() == b.tobytes(), name
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the threads started while the test runs, in start order."""
+    names = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return names
+
+
 @pytest.mark.parametrize("workers", [1, 2, MORE_THAN_CORES])
 @pytest.mark.parametrize("kind", KINDS)
-def test_parallel_scorer_matches_the_serial_loop(setup, monkeypatch, kind, workers):
+def test_parallel_scorer_matches_the_serial_loop(setup, monkeypatch, started, kind, workers):
     schedule, net, _ = setup
     scorer = _scorer(net, schedule, kind)
     want_counter = EvalCounter()
     want = _serial(scorer, ROWS, want_counter)
     assert want_counter.count == NFE_PER_SAMPLE[kind] * len(ROWS)
 
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
     monkeypatch.setattr(pipeline, "_workers", lambda: workers)
-    monkeypatch.setattr(threading, "Thread", Recorded)
     counter = EvalCounter()
     counter.count = 5  # the call adds to what the caller counted before
     got = scorer(ROWS, counter)
     _assert_same_bits(got, want)
     assert counter.count == 5 + want_counter.count
-    assert len(started) == min(workers, 12) - 1  # the calling thread is one worker
+    # the calling thread is one worker; 12 batches leave no core for a producer
+    assert started == ["irfad-scorer"] * (min(workers, 12) - 1)
     started.clear()
-    scorer(ROWS[:2])  # one batch: no thread starts
-    assert started == []
+    scorer(ROWS[:2])  # one batch: no scoring thread, but recon's producer takes an idle core
+    assert started == (["irfad-noise"] if kind == RECON and workers > 1 else [])
+
+
+@pytest.mark.parametrize("workers", [2, MORE_THAN_CORES])
+@pytest.mark.parametrize("rows", [2, 6], ids=["1-batch", "3-batches"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_noise_producer_starts_for_recon_with_fewer_batches_than_workers(
+    setup, monkeypatch, started, kind, rows, workers
+):
+    schedule, net, _ = setup
+    scorer = _scorer(net, schedule, kind)
+    samples = ROWS[:rows]
+    want_counter = EvalCounter()
+    want = _serial(scorer, samples, want_counter)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+    counter = EvalCounter()
+    _assert_same_bits(scorer(samples, counter), want)
+    assert counter.count == want_counter.count == NFE_PER_SAMPLE[kind] * rows
+    batches = rows // 2
+    producer = kind == RECON and batches < workers
+    scorers = min(workers, batches) - 1
+    assert sorted(started) == ["irfad-noise"] * producer + ["irfad-scorer"] * scorers
 
 
 @pytest.mark.parametrize("blas, cores, workers", [(None, 4, 4), (1, 4, 4), (2, 4, 2), (3, 4, 1), (8, 4, 1)])
@@ -283,18 +311,20 @@ def test_workers_read_the_blas_thread_count_numpy_runs_with(blas):
 
 def test_parallel_scorer_under_fast_thread_switching(setup, monkeypatch):
     schedule, net, _ = setup
-    scorers = [_scorer(net, schedule, kind) for kind in KINDS]
-    wants = [_serial(scorer, ROWS, None) for scorer in scorers]
+    cases = [(_scorer(net, schedule, kind), ROWS) for kind in KINDS]
+    # recon on one and three batches: a producer draws while the chains run
+    cases += [(_scorer(net, schedule, RECON), ROWS[:rows]) for rows in (2, 6)]
+    wants = [_serial(scorer, samples, None) for scorer, samples in cases]
     monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         deadline = time.monotonic() + 2.0
         while True:
-            for scorer, want in zip(scorers, wants):
+            for (scorer, samples), want in zip(cases, wants):
                 counter = EvalCounter()
-                _assert_same_bits(scorer(ROWS, counter), want)
-                assert counter.count == NFE_PER_SAMPLE[scorer.kind] * len(ROWS)
+                _assert_same_bits(scorer(samples, counter), want)
+                assert counter.count == NFE_PER_SAMPLE[scorer.kind] * len(samples)
             if time.monotonic() > deadline:
                 break
     finally:
@@ -350,3 +380,113 @@ def test_parallel_scorer_interrupt_stops_and_joins_every_thread(setup, monkeypat
         _scorer(net, schedule, IRF_MEAN)(ROWS)
     assert threading.active_count() == before
     assert len(calls) < 12  # no thread took a batch after the interrupt
+
+
+# -- the recon noise producer under failure ----------------------------------------
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def _paced_draw(monkeypatch, pace):
+    """Route the producer's draw through `pace(k)`, called after slot k is
+    drawn and before the waiting chain hears of it; returns the slots drawn."""
+    slots = []
+    draw = baselines.draw_recon_noise
+
+    def paced(rng, out, drawn=None):
+        assert drawn is not None, "the inline fill ran where the producer should"
+
+        def step(k):
+            slots.append(k)
+            pace(k)
+            drawn(k)
+
+        return draw(rng, out, step)
+
+    monkeypatch.setattr(baselines, "draw_recon_noise", paced)
+    return slots
+
+
+def _recorded_failures(monkeypatch):
+    """The failures list of each producer the pipeline creates."""
+    lists = []
+
+    class Watched(pipeline._NoiseProducer):
+        def __init__(self, draw, errors):
+            super().__init__(draw, errors)
+            lists.append(errors)
+
+    monkeypatch.setattr(pipeline, "_NoiseProducer", Watched)
+    return lists
+
+
+def _wait_for_failure(lists):
+    deadline = time.monotonic() + 10.0
+    while not lists[0] and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _recon(net, schedule, steps=8):
+    return Scorer(RECON, net, schedule, t_infer=10, batch_size=2, noise_seed=4,
+                  recon_t_start=50, recon_steps=steps)
+
+
+@pytest.mark.parametrize("rows", [2, 6], ids=["1-batch", "3-batches"])
+def test_producer_draw_failure_is_reraised_with_its_own_type(setup, monkeypatch, started, rows):
+    schedule, net, _ = setup
+
+    def pace(k):
+        if k == 1:  # the chains have their jump noise and wait for slot 1
+            raise DrawFailed("no more noise")
+
+    slots = _paced_draw(monkeypatch, pace)
+    monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
+    before = threading.active_count()
+    with pytest.raises(DrawFailed, match="no more noise"):
+        _recon(net, schedule)(ROWS[:rows], EvalCounter())
+    assert threading.active_count() == before
+    assert started.count("irfad-noise") == 1
+    assert slots == [0, 1]
+
+
+def test_nan_sample_in_a_batch_stops_the_producer(setup, monkeypatch):
+    schedule, net, _ = setup
+    samples = ROWS[:2].copy()
+    samples[1, 0, 0, 0] = np.nan  # the chain fails at its first evaluation
+    failures = _recorded_failures(monkeypatch)
+    # hold the draw after slot 1 until the chain's failure is recorded
+    slots = _paced_draw(monkeypatch, lambda k: k == 1 and _wait_for_failure(failures))
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="non-finite network input"):
+        _recon(net, schedule)(samples, EvalCounter())
+    assert threading.active_count() == before
+    assert slots == [0, 1]  # of 8: the producer stopped at the next slot
+
+
+def test_interrupt_on_the_calling_thread_mid_draw_stops_the_producer(setup, monkeypatch):
+    schedule, net, _ = setup
+    failures = _recorded_failures(monkeypatch)
+    mid_draw = threading.Event()
+
+    def pace(k):
+        if k == 1:
+            mid_draw.set()
+            _wait_for_failure(failures)
+
+    slots = _paced_draw(monkeypatch, pace)
+
+    def interrupted(*args):
+        assert threading.current_thread() is threading.main_thread()
+        assert mid_draw.wait(10.0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(baselines, "reconstruct_batch", interrupted)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _recon(net, schedule)(ROWS[:2], EvalCounter())
+    assert threading.active_count() == before
+    assert slots == [0, 1]
