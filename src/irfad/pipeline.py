@@ -17,13 +17,13 @@ evaluation count.
 Both stochastic scorers draw their noise per batch, in batch order, into
 arrays the thread taking the batch allocates, so the bits are those of
 one thread scoring the batches in order and a thread holds one batch of
-noise at a time. The noisy-state scorer's array is filled as the batch
-is taken. The reconstruction chain reads its `steps` (rows, d) slots one
-step at a time, so when a call has fewer batches than workers, and a
-core would idle, one producer thread (`irfad-noise`) draws the slots
-there while the chains run; otherwise they are filled as the batch is
-taken. Scoring a pass is deterministic for a given configuration: each
-call re-derives its noise stream from (seed, pass label).
+noise at a time. The noise is drawn as the batch is taken, except in
+one case: a reconstruction call with one batch and more than one worker
+runs its chain on the calling thread alone, so one producer thread
+(`irfad-noise`) draws the chain's `steps` (rows, d) slots on the idle
+core, in the same order, while the chain reads them one step at a time.
+Scoring a pass is deterministic for a given configuration: each call
+re-derives its noise stream from (seed, pass label).
 
 Every call refuses non-finite scores with a NumericError before it
 returns, so no caller writes them.
@@ -31,7 +31,7 @@ returns, so no caller writes them.
 
 from __future__ import annotations
 
-import collections
+import contextlib
 import ctypes
 import functools
 import os
@@ -114,92 +114,74 @@ def field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 class _Stopped(Exception):
-    """A batch or a draw abandoned because another thread failed first."""
-
-
-@dataclass(frozen=True)
-class _Noise:
-    """A random stream that `Scorer._run_batches` draws batch by batch, in
-    batch order, into buffers the thread taking the batch allocates."""
-
-    alloc: Callable  # alloc(rows): an unfilled buffer for a batch of that many rows
-    draw: Callable  # draw(buf) fills buf from the stream
-    # stepwise: buf is a sequence of slots that the batch reads in order,
-    # each after ready(k), and draw(buf, drawn) fills them in that order and
-    # calls drawn(k) once slot k is in (baselines.draw_recon_noise)
-    stepwise: bool = False
+    """A chain abandoned because the draw of its noise failed first."""
 
 
 class _NoiseProducer:
-    """One thread, `irfad-noise`, that draws submitted buffers slot by slot,
-    in submission order, while the threads that submitted them run.
+    """One thread, `irfad-noise`, that fills one batch's noise slots in draw
+    order on an idle core while the calling thread runs the batch's chain.
 
-    A worker submits under the batch lock, so the stream is consumed in
-    batch order. A failure recorded in `errors` by any thread stops the
-    draw at the next slot; a failure of the draw itself is recorded there,
-    and either way a worker waiting for a slot is woken with `_Stopped`.
+    Used as `with _NoiseProducer(fill, slots) as ready:`, where
+    `fill(slots, drawn)` calls drawn(k) once slot k is in and `ready(k)`
+    returns once it is. Leaving the block, normally or by a failure or an
+    interrupt, stops the draw at its next slot and joins the thread; a
+    failure of the draw wakes a waiting `ready` and is re-raised with its
+    own type.
     """
 
-    def __init__(self, draw: Callable, errors: list[BaseException]):
-        self._draw = draw
-        self._errors = errors
+    def __init__(self, fill: Callable, slots):
         self._cond = threading.Condition()
-        self._jobs: collections.deque = collections.deque()
-        self._closed = False
-        self._done = False
-        self.thread = threading.Thread(target=self._run, name="irfad-noise")
+        self._drawn = 0  # slots drawn so far, written under the condition
+        self._over = False  # the draw ended, or the block was left
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._run, args=(fill, slots), name="irfad-noise")
 
-    def submit(self, buf) -> Callable[[int], None]:
-        """Queue a batch's slots for drawing; returns `ready(k)`, which
-        waits until slot k is drawn."""
-        drawn = [0]  # slots of buf drawn so far, written under the condition
+    def __enter__(self) -> Callable[[int], None]:
+        self._thread.start()
+        return self._ready
 
-        def ready(k: int) -> None:
-            if drawn[0] > k:
-                return
-            with self._cond:
-                while drawn[0] <= k:
-                    if self._done:
-                        raise _Stopped
-                    self._cond.wait()
-
+    def __exit__(self, *exc_info) -> None:
         with self._cond:
-            self._jobs.append((buf, drawn))
-            self._cond.notify_all()
-        return ready
+            self._over = True
+        interrupt = None
+        while self._thread.is_alive():
+            try:
+                self._thread.join()
+            except BaseException as exc:  # interrupted while joining
+                interrupt = interrupt or exc
+        if interrupt is not None:
+            raise interrupt
+        error, self._error = self._error, None  # the traceback's frames hold self
+        if error is not None:
+            raise error
 
-    def close(self) -> None:
-        """Let the thread end once the queued buffers are drawn."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def _run(self) -> None:
+    def _run(self, fill: Callable, slots) -> None:
         try:
-            while True:
-                with self._cond:
-                    while not self._jobs and not self._closed:
-                        self._cond.wait()
-                    if not self._jobs:
-                        return
-                    buf, drawn = self._jobs.popleft()
-                self._draw(buf, functools.partial(self._drawn, drawn))
-                del buf, drawn
+            fill(slots, self._mark)
         except _Stopped:
-            pass
+            pass  # the block was left before the last slot
         except BaseException as exc:
-            self._errors.append(exc)
+            self._error = exc
         finally:
             with self._cond:
-                self._done = True
+                self._over = True
                 self._cond.notify_all()
 
-    def _drawn(self, drawn: list[int], k: int) -> None:
+    def _mark(self, k: int) -> None:
         with self._cond:
-            drawn[0] = k + 1
+            self._drawn = k + 1
             self._cond.notify_all()
-        if self._errors:
-            raise _Stopped
+            if self._over:
+                raise _Stopped
+
+    def _ready(self, k: int) -> None:
+        if self._drawn > k:
+            return
+        with self._cond:
+            while self._drawn <= k:
+                if self._over:
+                    raise _Stopped  # __exit__ re-raises the draw's failure
+                self._cond.wait()
 
 
 class Scorer:
@@ -248,8 +230,8 @@ class Scorer:
                 table = self._score_irf(X.reshape((n,) + cshape), counter)
             else:
                 table = self._score_baseline(X, counter)
-        bad = np.flatnonzero(~np.isfinite(table.s))
-        if bad.size:
+        if not np.isfinite(table.s).all():
+            bad = np.flatnonzero(~np.isfinite(table.s))
             raise NumericError(
                 f"non-finite {self.kind} scores for {bad.size} of {n} samples "
                 f"(first: sample {bad[0]})"
@@ -260,83 +242,62 @@ class Scorer:
         for start in range(0, n, self.batch_size):
             yield start, min(start + self.batch_size, n)
 
-    def _run_batches(self, n: int, score, counter, noise: _Noise | None = None) -> None:
-        """Call `score(start, stop, own_counter, buf, ready)` once per batch
-        of n rows, on min(workers, batches) threads, the caller's among them.
+    def _run_batches(self, n: int, score, counter, draw=None) -> None:
+        """Call `score(start, stop, noise, own_counter)` once per batch of n
+        rows, on min(workers, batches) threads, the caller's among them.
 
-        Threads take their next batch from one lock-guarded iterator. With
-        `noise`, the thread that takes a batch allocates its noise `buf`
-        under that lock and either fills it there (`ready` is None) or,
-        when the stream is stepwise and the call has fewer batches than
-        workers, hands it to one producer thread that draws it slot by
-        slot on the idle core (`ready(k)` waits for slot k). Either way the
-        stream is consumed in batch order whichever thread takes the batch,
-        and a thread holds at most one batch of noise. Each thread counts
-        on its own EvalCounter, so the one-evaluation check in `irf` sees
-        its own batch only; after the join `counter` gains the sum by
-        `count +=`, since each evaluation already passed through `add`
-        once. Threads compute under the caller's floating-point error
-        handling. The first failure on any thread stops the others from
-        taking batches, and the producer from drawing, and is re-raised
-        once every thread has been joined.
+        Threads take their next batch from one lock-guarded iterator and draw
+        its `noise = draw(start, stop)` (None without `draw`) under that lock,
+        so a random stream is consumed in batch order whichever thread takes
+        the batch, and the noise is allocated by the thread that reads it. Each
+        thread counts on its own EvalCounter, so the one-evaluation check in
+        `irf` sees its own batch only; after the join `counter` gains the sum
+        by `count +=`, since each evaluation already passed through `add`
+        once. Started threads compute under the caller's floating-point error
+        handling. The first failure stops the other threads from taking
+        batches and is re-raised once every thread has been joined.
         """
         spans = self._batches(n)
         batches = -(-n // self.batch_size)
-        cores = _workers()
-        counters = [EvalCounter() for _ in range(min(cores, batches))]
+        workers = min(_workers(), batches) if batches > 1 else 1
+        counters = [EvalCounter() for _ in range(workers)]
         lock = threading.Lock()
         errors: list[BaseException] = []
-        fp_errors = np.geterr()
-        producer = None
-        if noise is not None and noise.stepwise and batches < cores:
-            producer = _NoiseProducer(noise.draw, errors)
 
         def work(own: EvalCounter) -> None:
             try:
-                with np.errstate(**fp_errors):
-                    while not errors:
-                        with lock:
-                            span = next(spans, None)
-                            if span is None:
-                                return
-                            buf = ready = None
-                            if noise is not None:
-                                buf = noise.alloc(span[1] - span[0])
-                                if producer is None:
-                                    noise.draw(buf)
-                                else:
-                                    ready = producer.submit(buf)
-                        score(*span, own, buf, ready)
-                        del buf, ready  # at most one batch of noise per thread
-            except _Stopped:
-                pass  # the failure that stopped the producer is already recorded
+                while not errors:
+                    with lock:
+                        span = next(spans, None)
+                        if span is None:
+                            return
+                        noise = draw(*span) if draw is not None else None
+                    score(*span, noise, own)
+                    del noise  # at most one batch of noise per thread
             except BaseException as exc:
                 errors.append(exc)
 
-        def join(thread, wake=None):
-            while thread.is_alive():  # False for a thread that never started
-                try:
-                    if wake is not None:
-                        wake()
-                    thread.join()
-                except BaseException as exc:  # interrupted while joining
-                    errors.append(exc)
+        def work_as_caller(own: EvalCounter, fp_errors: dict) -> None:
+            with np.errstate(**fp_errors):
+                work(own)
 
-        threads = [threading.Thread(target=work, args=(own,), name="irfad-scorer")
-                   for own in counters[1:]]
+        started = []
         try:
-            if producer is not None:
-                producer.thread.start()
-            for thread in threads:
+            for own in counters[1:]:
+                thread = threading.Thread(target=work_as_caller, args=(own, np.geterr()),
+                                          name="irfad-scorer")
                 thread.start()
+                started.append(thread)
             work(counters[0])
         except BaseException as exc:  # a thread that would not start, or an interrupt
             errors.append(exc)
         finally:
-            for thread in threads:
-                join(thread)
-            if producer is not None:  # last: until the others are joined one may wait on it
-                join(producer.thread, producer.close)
+            for thread in started:
+                while thread.is_alive():
+                    try:
+                        thread.join()
+                    except BaseException as exc:  # interrupted while joining
+                        errors.append(exc)
         if errors:
             error = errors[0]
             errors.clear()  # the traceback's frames hold this list
@@ -345,14 +306,16 @@ class Scorer:
             counter.count += sum(own.count for own in counters)
 
     def _score_irf(self, fields, counter) -> ScoreTable:
-        noise = None
+        draw = None
         if self.kind == IRF_NOISY:
             rng = make_rng(self.noise_seed, "score-noisy")
-            noise = _Noise(lambda rows: np.empty((rows,) + fields.shape[1:]),
-                           lambda out: rng.standard_normal(out=out))
+
+            def draw(start, stop):  # the rows in C order, as one draw for the table
+                return rng.standard_normal((stop - start,) + fields.shape[1:])
+
         deltas = np.empty(fields.shape)
 
-        def score(start, stop, own, eps, ready):
+        def score(start, stop, eps, own):
             x0 = fields[start:stop]
             if eps is None:
                 res = irf_mean(self.net, self.schedule, x0, self.t_infer, own)
@@ -360,41 +323,48 @@ class Scorer:
                 res = irf_noisy(self.net, self.schedule, x0, self.t_infer, eps, own)
             deltas[start:stop] = res.delta
 
-        self._run_batches(len(fields), score, counter, noise)
+        self._run_batches(len(fields), score, counter, draw)
         s_diff, s_nll = image_scores(deltas)
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
 
     def _score_baseline(self, X, counter) -> ScoreTable:
         n, d = X.shape
         scores = np.empty(n)
-        noise = None
+        draw = None
         if self.kind == RECON:
             rng = make_rng(self.noise_seed, "score-recon")
-            # one array per slot, as the serial draw allocated them: with one
-            # (steps, rows, d) block (13 MB for a blob batch) the blob
-            # benchmark's peak RSS read 1-9 MiB above the parent's
-            noise = _Noise(lambda rows: [np.empty((rows, d)) for _ in range(self.recon_steps)],
-                           functools.partial(baselines.draw_recon_noise, rng), stepwise=True)
+            fill = functools.partial(baselines.draw_recon_noise, rng)
+            # one batch runs on the calling thread alone: draw its noise on
+            # an idle core while the chain runs, instead of before it
+            alongside = n <= self.batch_size and _workers() > 1
 
-            def score(start, stop, own, buf, ready):
-                scores[start:stop] = baselines.reconstruct_batch(
-                    self.net,
-                    self.schedule,
-                    X[start:stop],
-                    self.recon_t_start,
-                    self.recon_steps,
-                    buf,
-                    own,
-                    ready,
-                )
+            def draw(start, stop):
+                # one array per slot: with one (steps, rows, d) block the blob
+                # benchmark's peak RSS read 1-9 MiB above separate arrays'
+                slots = [np.empty((stop - start, d)) for _ in range(self.recon_steps)]
+                return slots if alongside else fill(slots)
+
+            def score(start, stop, slots, own):
+                producer = _NoiseProducer(fill, slots) if alongside else contextlib.nullcontext()
+                with producer as ready:
+                    scores[start:stop] = baselines.reconstruct_batch(
+                        self.net,
+                        self.schedule,
+                        X[start:stop],
+                        self.recon_t_start,
+                        self.recon_steps,
+                        slots,
+                        own,
+                        ready,
+                    )
         else:
 
-            def score(start, stop, own, buf, ready):
+            def score(start, stop, noise, own):
                 scores[start:stop] = baselines.ddim_invert_batch(
                     self.net, self.schedule, X[start:stop], self.ddim_steps, own
                 )
 
-        self._run_batches(n, score, counter, noise)
+        self._run_batches(n, score, counter, draw)
         return ScoreTable(s=scores)
 
 

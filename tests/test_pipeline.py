@@ -260,17 +260,17 @@ def test_parallel_scorer_matches_the_serial_loop(setup, monkeypatch, started, ki
     got = scorer(ROWS, counter)
     _assert_same_bits(got, want)
     assert counter.count == 5 + want_counter.count
-    # the calling thread is one worker; 12 batches leave no core for a producer
+    # the calling thread is one worker; several batches draw their noise inline
     assert started == ["irfad-scorer"] * (min(workers, 12) - 1)
     started.clear()
     scorer(ROWS[:2])  # one batch: no scoring thread, but recon's producer takes an idle core
     assert started == (["irfad-noise"] if kind == RECON and workers > 1 else [])
 
 
-@pytest.mark.parametrize("workers", [2, MORE_THAN_CORES])
+@pytest.mark.parametrize("workers", [1, 2, MORE_THAN_CORES])
 @pytest.mark.parametrize("rows", [2, 6], ids=["1-batch", "3-batches"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_noise_producer_starts_for_recon_with_fewer_batches_than_workers(
+def test_noise_producer_starts_only_for_one_recon_batch_with_an_idle_core(
     setup, monkeypatch, started, kind, rows, workers
 ):
     schedule, net, _ = setup
@@ -283,7 +283,7 @@ def test_noise_producer_starts_for_recon_with_fewer_batches_than_workers(
     _assert_same_bits(scorer(samples, counter), want)
     assert counter.count == want_counter.count == NFE_PER_SAMPLE[kind] * rows
     batches = rows // 2
-    producer = kind == RECON and batches < workers
+    producer = kind == RECON and batches == 1 and workers > 1
     scorers = min(workers, batches) - 1
     assert sorted(started) == ["irfad-noise"] * producer + ["irfad-scorer"] * scorers
 
@@ -312,8 +312,8 @@ def test_workers_read_the_blas_thread_count_numpy_runs_with(blas):
 def test_parallel_scorer_under_fast_thread_switching(setup, monkeypatch):
     schedule, net, _ = setup
     cases = [(_scorer(net, schedule, kind), ROWS) for kind in KINDS]
-    # recon on one and three batches: a producer draws while the chains run
-    cases += [(_scorer(net, schedule, RECON), ROWS[:rows]) for rows in (2, 6)]
+    # recon on one batch: a producer draws while the chain runs
+    cases.append((_scorer(net, schedule, RECON), ROWS[:2]))
     wants = [_serial(scorer, samples, None) for scorer, samples in cases]
     monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
     interval = sys.getswitchinterval()
@@ -409,22 +409,23 @@ def _paced_draw(monkeypatch, pace):
     return slots
 
 
-def _recorded_failures(monkeypatch):
-    """The failures list of each producer the pipeline creates."""
-    lists = []
+def _producers(monkeypatch):
+    """Each noise producer the pipeline creates."""
+    made = []
 
     class Watched(pipeline._NoiseProducer):
-        def __init__(self, draw, errors):
-            super().__init__(draw, errors)
-            lists.append(errors)
+        def __init__(self, fill, slots):
+            super().__init__(fill, slots)
+            made.append(self)
 
     monkeypatch.setattr(pipeline, "_NoiseProducer", Watched)
-    return lists
+    return made
 
 
-def _wait_for_failure(lists):
+def _wait_until_the_chain_left(producers):
+    """Hold the draw until the calling thread has left the producer's block."""
     deadline = time.monotonic() + 10.0
-    while not lists[0] and time.monotonic() < deadline:
+    while not producers[0]._over and time.monotonic() < deadline:
         time.sleep(0.001)
 
 
@@ -433,19 +434,18 @@ def _recon(net, schedule, steps=8):
                   recon_t_start=50, recon_steps=steps)
 
 
-@pytest.mark.parametrize("rows", [2, 6], ids=["1-batch", "3-batches"])
-def test_producer_draw_failure_is_reraised_with_its_own_type(setup, monkeypatch, started, rows):
+def test_producer_draw_failure_is_reraised_with_its_own_type(setup, monkeypatch, started):
     schedule, net, _ = setup
 
     def pace(k):
-        if k == 1:  # the chains have their jump noise and wait for slot 1
+        if k == 1:  # the chain has its jump noise and waits for slot 1
             raise DrawFailed("no more noise")
 
     slots = _paced_draw(monkeypatch, pace)
     monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
     before = threading.active_count()
     with pytest.raises(DrawFailed, match="no more noise"):
-        _recon(net, schedule)(ROWS[:rows], EvalCounter())
+        _recon(net, schedule)(ROWS[:2], EvalCounter())
     assert threading.active_count() == before
     assert started.count("irfad-noise") == 1
     assert slots == [0, 1]
@@ -455,9 +455,9 @@ def test_nan_sample_in_a_batch_stops_the_producer(setup, monkeypatch):
     schedule, net, _ = setup
     samples = ROWS[:2].copy()
     samples[1, 0, 0, 0] = np.nan  # the chain fails at its first evaluation
-    failures = _recorded_failures(monkeypatch)
-    # hold the draw after slot 1 until the chain's failure is recorded
-    slots = _paced_draw(monkeypatch, lambda k: k == 1 and _wait_for_failure(failures))
+    producers = _producers(monkeypatch)
+    # hold the draw after slot 1 until the chain's failure has left the block
+    slots = _paced_draw(monkeypatch, lambda k: k == 1 and _wait_until_the_chain_left(producers))
     monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     before = threading.active_count()
     with pytest.raises(NumericError, match="non-finite network input"):
@@ -468,13 +468,13 @@ def test_nan_sample_in_a_batch_stops_the_producer(setup, monkeypatch):
 
 def test_interrupt_on_the_calling_thread_mid_draw_stops_the_producer(setup, monkeypatch):
     schedule, net, _ = setup
-    failures = _recorded_failures(monkeypatch)
+    producers = _producers(monkeypatch)
     mid_draw = threading.Event()
 
     def pace(k):
         if k == 1:
             mid_draw.set()
-            _wait_for_failure(failures)
+            _wait_until_the_chain_left(producers)
 
     slots = _paced_draw(monkeypatch, pace)
 
