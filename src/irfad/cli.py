@@ -95,8 +95,9 @@ def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
     written through `tolist()` and `repr`, so a float is its shortest
     round-trip decimal; any other column through `str`. A float64 column
     whose bits equal an earlier one's (`0.0` and `-0.0` differ) reuses that
-    column's text. No field holds a separator, a quote or a newline, so
-    nothing is quoted.
+    column's text, and one whose entries all have the same bits is
+    formatted with one `repr`. No field holds a separator, a quote or a
+    newline, so nothing is quoted.
     """
     cells, written = [], []  # written: (bits, text) of each float64 column
     for col in columns:
@@ -108,7 +109,10 @@ def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
             bits = col.view(np.uint64)
             text = next((t for b, t in written if np.array_equal(b, bits)), None)
             if text is None:
-                text = list(map(repr, col.tolist()))
+                if bits.size and (bits == bits[0]).all():
+                    text = [repr(col[0].item())] * bits.size
+                else:
+                    text = list(map(repr, col.tolist()))
                 written.append((bits, text))
             cells.append(text)
     lines = [sep.join(header), *map(sep.join, zip(*cells))]

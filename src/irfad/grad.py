@@ -32,11 +32,12 @@ def silu_denominator(x: np.ndarray) -> np.ndarray:
     """1 + exp(-x) in a fresh array: SiLU(x) = x / d and sigmoid(x) = 1 / d.
 
     Below about -709, exp(-x) overflows to inf, so SiLU is exactly 0 (or
-    -0.0) and the sigmoid exactly 0; that overflow is expected and silenced.
+    -0.0) and the sigmoid exactly 0. That overflow is expected; the caller
+    silences it with `np.errstate(over="ignore")`, once around all of its
+    layers (`forward_features`) or per call (`Tape.silu`).
     """
     d = np.negative(x)
-    with np.errstate(over="ignore"):
-        np.exp(d, out=d)
+    np.exp(d, out=d)
     d += 1.0
     return d
 
@@ -80,7 +81,8 @@ class Tape:
     def silu(self, a: Node) -> Node:
         """Sigmoid-weighted activation x * sigmoid(x); smooth everywhere."""
         x = a.value
-        d = silu_denominator(x)
+        with np.errstate(over="ignore"):
+            d = silu_denominator(x)
         out = x / d
         sig = 1.0 / d
 

@@ -192,16 +192,18 @@ class NoisePredictor:
         With d = 1 it is the broadcast product `x * W0[0]`: each entry is
         the one product the (n, 1) @ (1, h0) matmul forms, at half its cost.
         SiLU divides h in place by `silu_denominator(h)`, the helper the
-        training tape's `silu` uses too.
+        training tape's `silu` uses too. Its expected exp overflow is
+        silenced once around the whole layer loop.
         """
         params = self.params
         d = self.spec.d
         h = x * params[0][0] if d == 1 else x @ params[0][:d]
         h += bias0
-        for w, b in zip(params[2::2], params[3::2]):
-            h /= silu_denominator(h)
-            h = h @ w
-            h += b
+        with np.errstate(over="ignore"):
+            for w, b in zip(params[2::2], params[3::2]):
+                h /= silu_denominator(h)
+                h = h @ w
+                h += b
         return h
 
     def forward_tape(self, tape: Tape, x2_node: Node, param_nodes: list[Node]) -> Node:
@@ -231,7 +233,7 @@ def predict_noise(
     xb = x[None, :] if single else x
     if xb.ndim != 2 or xb.shape[1] != net.spec.d:
         raise ShapeError(f"input shape {x.shape} incompatible with d={net.spec.d}")
-    if not np.all(np.isfinite(xb)):
+    if not np.isfinite(xb).all():
         raise NumericError("non-finite network input")
     out = net.forward_features(xb, bias0=net.folded_bias(t))
     if counter is not None:

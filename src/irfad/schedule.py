@@ -11,7 +11,8 @@ x_t = sqrt(abar_t) x_0 + sqrt(1 - abar_t) eps, and its mean path is
 mu(x_t) = sqrt(abar_t) x_0.
 
 Conventions: steps are 1-indexed (t = 1..T); t = 0 denotes clean data and
-abar_0 == 1. The cumulative products are precomputed once (scoring is the
+abar_0 == 1. The cumulative products and their two square roots,
+sqrt(abar_t) and sqrt(1 - abar_t), are precomputed once (scoring is the
 hot path) and the schedule is immutable after construction.
 """
 
@@ -50,7 +51,10 @@ class NoiseSchedule:
 
     Direct construction performs no range validation so that tests can
     build degenerate schedules (e.g. beta == 0, abar == 1); use
-    `linear_schedule` for checked construction.
+    `linear_schedule` for checked construction. The read-only tables
+    `root_alpha_bars` and `root_rests` hold sqrt(abar_t) and
+    sqrt(1 - abar_t); NumPy's sqrt is correctly rounded, so an entry has
+    the bits of the same sqrt taken per call.
     """
 
     T: int
@@ -58,6 +62,8 @@ class NoiseSchedule:
     alpha_bars: np.ndarray  # shape (T,), alpha_bars[t-1] is abar_t
     beta_start: float | None = field(default=None)
     beta_end: float | None = field(default=None)
+    root_alpha_bars: np.ndarray = field(init=False, repr=False, compare=False)
+    root_rests: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         betas = np.ascontiguousarray(self.betas, dtype=np.float64)
@@ -67,10 +73,15 @@ class NoiseSchedule:
                 f"schedule arrays must have shape ({self.T},), got "
                 f"{betas.shape} and {abars.shape}"
             )
-        betas.flags.writeable = False
-        abars.flags.writeable = False
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alpha_bars", abars)
+        tables = {
+            "betas": betas,
+            "alpha_bars": abars,
+            "root_alpha_bars": np.sqrt(abars),
+            "root_rests": np.sqrt(1.0 - abars),
+        }
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def alpha_bar(self, t) -> float:
         """abar_t of one step t in [0, T]; abar_0 == 1 by convention."""
@@ -105,16 +116,18 @@ def _coeffs(schedule: NoiseSchedule, t, ndim: int):
     """sqrt(abar_t) and sqrt(1 - abar_t), shaped to broadcast over samples.
 
     One step t applies one coefficient to the whole array; a 1-D integer
-    array t of length n pairs with a leading batch axis of size n.
+    array t of length n pairs with a leading batch axis of size n. Both are
+    read from the schedule's square-root tables.
     """
     if isinstance(t, np.ndarray) and t.ndim == 1:
         integral = np.issubdtype(t.dtype, np.integer)
         if not integral or t.size == 0 or t.min() < 1 or t.max() > schedule.T:
             raise ParameterError(f"per-row steps must be integers in [1, {schedule.T}]")
-        abar = schedule.alpha_bars[t - 1].reshape((-1,) + (1,) * (ndim - 1))
-    else:
-        abar = schedule.alpha_bars[check_step(t, schedule.T) - 1]
-    return np.sqrt(abar), np.sqrt(1.0 - abar)
+        shape = (-1,) + (1,) * (ndim - 1)
+        i = t - 1
+        return schedule.root_alpha_bars[i].reshape(shape), schedule.root_rests[i].reshape(shape)
+    i = check_step(t, schedule.T) - 1
+    return schedule.root_alpha_bars[i], schedule.root_rests[i]
 
 
 def q_sample(schedule: NoiseSchedule, x0: np.ndarray, t, eps: np.ndarray) -> np.ndarray:

@@ -26,7 +26,8 @@ from .errors import NumericError, ParameterError, ShapeError
 
 @lru_cache(maxsize=64)
 def _axis_coords(size_in: int, size_out: int):
-    """Read-only (lo, hi, 1 - wt, wt) that map `size_out` samples onto `size_in`."""
+    """Read-only (concat(lo, hi), concat(1 - wt, wt)) that map `size_out`
+    samples onto `size_in`: both neighbours' indices and weights, low first."""
     if size_out == 1:
         src = np.zeros(1)
     else:
@@ -34,7 +35,7 @@ def _axis_coords(size_in: int, size_out: int):
     lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, size_in - 1)
     wt = src - lo
-    coords = (lo, hi, 1.0 - wt, wt)
+    coords = (np.concatenate([lo, hi]), np.concatenate([1.0 - wt, wt]))
     for arr in coords:
         arr.flags.writeable = False
     return coords
@@ -43,10 +44,12 @@ def _axis_coords(size_in: int, size_out: int):
 def bilinear_upsample(a: np.ndarray, H: int, W: int) -> np.ndarray:
     """Corner-aligned bilinear upsample of (h, w) or (n, h, w) maps.
 
-    Two gathers: along the width into (n, h, W) rows, then along the
-    height. Each output is (1-wy)*top + wy*bot with top and bot the width
-    blends of its two source rows, the same products summed in the same
-    order as a four-corner gather, so the bits do not depend on the split.
+    Two blends: along the width into (n, h, W) rows, then along the
+    height. Each blend gathers both neighbours of every output in one
+    `take`, scales them by (1-wt, wt) in place and adds the two halves.
+    Each output is (1-wy)*top + wy*bot with top and bot the width blends of
+    its two source rows, the same products summed in the same order as a
+    four-corner gather, so the bits do not depend on the split.
     """
     a = np.asarray(a, dtype=np.float64)
     squeeze = a.ndim == 2
@@ -58,10 +61,14 @@ def bilinear_upsample(a: np.ndarray, H: int, W: int) -> np.ndarray:
     if H < h or W < w or H < 1 or W < 1:
         raise ParameterError(f"target ({H}, {W}) must be >= source ({h}, {w})")
 
-    y0, y1, uy, wy = _axis_coords(h, H)
-    x0, x1, ux, wx = _axis_coords(w, W)
-    rows = ux * a.take(x0, axis=2) + wx * a.take(x1, axis=2)
-    out = uy[:, None] * rows.take(y0, axis=1) + wy[:, None] * rows.take(y1, axis=1)
+    index, weight = _axis_coords(w, W)
+    rows = a.take(index, axis=2)
+    rows *= weight
+    rows = rows[..., :W] + rows[..., W:]
+    index, weight = _axis_coords(h, H)
+    out = rows.take(index, axis=1)
+    out *= weight[:, None]
+    out = out[:, :H] + out[:, H:]
     return out[0] if squeeze else out
 
 
@@ -85,14 +92,19 @@ def _check_field(delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 3:
         raise ShapeError(f"residual field must be (c, h, w), got shape {delta.shape}")
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise NumericError("non-finite residual field")
     return delta
 
 
+def _channel_norm(squares: np.ndarray) -> np.ndarray:
+    """sqrt of the channel sum of (n, c, h, w) squared entries -> (n, h, w)."""
+    return np.sqrt(squares.sum(axis=1))
+
+
 def feature_scale_maps(fields: np.ndarray) -> np.ndarray:
     """Channel-wise L2 norm at each location: (n, c, h, w) -> (n, h, w)."""
-    return np.sqrt(np.sum(fields * fields, axis=1))
+    return _channel_norm(fields * fields)
 
 
 def score_map(delta: np.ndarray, target: tuple[int, int]) -> ScoreMap:
@@ -125,9 +137,11 @@ def image_scores(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-field (s_diff, s_nll) of an (n, c, h, w) stack; see image_score.
 
     Each field's parts depend on that field alone, bit for bit, so a
-    batched table and per-sample scores agree exactly.
+    batched table and per-sample scores agree exactly. The fields are
+    squared once; the norm map and s_nll both sum those squares.
     """
-    fmaps = feature_scale_maps(fields)
+    squares = fields * fields
+    fmaps = _channel_norm(squares)
     s_diff = fmaps.max(axis=(1, 2)) - fmaps.min(axis=(1, 2))
-    s_nll = 0.5 * np.sum((fields * fields).reshape(len(fields), -1), axis=1)
+    s_nll = 0.5 * squares.reshape(len(fields), -1).sum(axis=1)
     return s_diff, s_nll

@@ -252,6 +252,19 @@ def bilinear_four_gather(a, H: int, W: int) -> np.ndarray:
     return out[0] if squeeze else out
 
 
+# -- image scores ---------------------------------------------------------------
+
+
+def image_scores_two_pass(fields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feature-scale maps, s_diff, s_nll) of an (n, c, h, w) stack, as the
+    library once computed them: each part squares the fields on its own and
+    sums with `np.sum`."""
+    fmaps = np.sqrt(np.sum(fields * fields, axis=1))
+    s_diff = fmaps.max(axis=(1, 2)) - fmaps.min(axis=(1, 2))
+    s_nll = 0.5 * np.sum((fields * fields).reshape(len(fields), -1), axis=1)
+    return fmaps, s_diff, s_nll
+
+
 # -- run tables ---------------------------------------------------------------
 #
 # The CLI's former row-at-a-time writers: every float through `_fmt`, every

@@ -859,6 +859,21 @@ _FIELD = st.one_of(
 )
 
 
+@pytest.mark.parametrize(
+    "s_diff",
+    [[0.0] * 5, [-0.0] * 5, [0.0, 0.0, -0.0, 0.0, 0.0]],
+    ids=["all-zero", "all-negative-zero", "one-negative-zero"],
+)
+def test_scores_csv_constant_column_keeps_the_row_writers_bytes(s_diff, tmp_path):
+    # a column of one repeated value is formatted once; -0.0 is not 0.0
+    s = np.array([1.5, -2.0, 0.25, 3.0, 1e-300])
+    table = ScoreTable(s, np.array(s_diff), s - np.array(s_diff))
+    cli._write_scores(str(tmp_path), table)
+    written = (tmp_path / "scores.csv").read_bytes()
+    assert written == scores_csv_rows(table)
+    assert written.count(b"-0.0,") == sum(np.signbit(s_diff))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_run_tables_keep_the_row_writers_bytes(data):
@@ -904,7 +919,8 @@ def test_table_bytes_match_the_row_writer(data):
     k = data.draw(st.integers(2, 3), label="grid width")
     grid = data.draw(st.lists(st.lists(_FIELD, min_size=k, max_size=k), min_size=n, max_size=n))
     columns = [np.array(grid).T[data.draw(st.integers(0, k - 1), label="strided")]]  # as bench
-    kinds = ["float", "repeat", "copy", "zero-sign", "uint8", "int64", "range", "list"]
+    kinds = ["float", "repeat", "copy", "zero-sign", "constant", "uint8", "int64", "range",
+             "list"]
     for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=7)):
         earlier = [c for c in columns if isinstance(c, np.ndarray) and c.dtype == np.float64]
         if kind == "float":
@@ -918,6 +934,12 @@ def test_table_bytes_match_the_row_writer(data):
             col[data.draw(st.integers(0, n - 1))] = 0.0
             columns.append(col)
             columns.append(np.where(col == 0.0, -col, col))
+        elif kind == "constant":  # one value in every row, but a zero may flip sign in one
+            col = np.full(n, data.draw(_FIELD))
+            if data.draw(st.booleans(), label="flip"):
+                i = data.draw(st.integers(0, n - 1))
+                col[i] = -col[i] if col[i] == 0.0 else col[i]
+            columns.append(col)
         elif kind in ("uint8", "int64"):
             ints = st.integers(*((0, 255) if kind == "uint8" else (-(2**63), 2**63 - 1)))
             columns.append(np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), kind))

@@ -5,7 +5,9 @@ import pytest
 
 from irfad.errors import ContractError, NumericError, ShapeError
 from irfad.grad import Tape
+from irfad.net import NoisePredictor
 from irfad.rng import make_rng
+from irfad.schedule import linear_schedule
 
 from oracles import fd_gradient, grad_close
 
@@ -97,16 +99,23 @@ def test_affine_identity():
 
 
 def test_silu_saturates_to_zero_without_warning():
-    # exp(1000) overflows inside the shared SiLU helper; it must stay silent
+    # exp(1000) overflows inside the shared SiLU helper; the tape and the
+    # inference kernel must both keep it silent
     x = np.array([-1000.0, -800.0, 0.0, 800.0])
     tape = Tape()
     a = tape.leaf(x, param=True)
+    # one hidden unit per entry of x, read out one to one
+    net = NoisePredictor.create(4, (4,), 2, linear_schedule(10), seed=0)
+    net.params = [np.vstack([np.diag(x), np.zeros((2, 4))]), np.zeros(4),
+                  np.eye(4), np.zeros(4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = tape.silu(a)
         grads = tape.backward(tape.mean_squared_error(out, tape.leaf(np.zeros(4))))
+        direct = net.forward_features(np.ones((1, 4)), bias0=np.zeros(4))
     assert out.value.tolist() == [0.0, 0.0, 0.0, 800.0]
     assert grads[a.id].tolist() == [0.0, 0.0, 0.0, 2.0 * 800.0 / 4.0]
+    assert direct.tolist() == [out.value.tolist()]
 
 
 def test_backward_closed_form_linear():

@@ -1,3 +1,5 @@
+import contextlib
+import faulthandler
 import os
 import subprocess
 import sys
@@ -27,6 +29,30 @@ from irfad.pipeline import (
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
 from irfad.scoring import image_score, image_scores
+
+
+# Each test here takes at most about 2 s; a lost wake-up between scoring
+# threads would hang the whole suite, so a test still running after this
+# long ends the process with every thread's traceback on stderr.
+HANG_LIMIT_S = 60.0
+
+
+@pytest.fixture(scope="module")
+def _terminal_stderr(request):
+    """A descriptor of the stderr the suite started with: the tracebacks
+    are written when the timer fires, while fd 2 is being captured."""
+    capture = request.config.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        fd = os.dup(2)
+    yield fd
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def _fail_a_hang(_terminal_stderr):
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="module")

@@ -70,8 +70,24 @@ def test_sqrt_of_product_matches_product_of_sqrts():
 
 def test_schedule_arrays_immutable():
     sched = linear_schedule(10)
-    with pytest.raises(ValueError):
-        sched.betas[0] = 0.5
+    for table in (sched.betas, sched.alpha_bars, sched.root_alpha_bars, sched.root_rests):
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+
+
+def test_root_tables_keep_the_per_call_sqrt_bits():
+    sched = linear_schedule()
+    x0, eps = np.array([1.0]), np.array([1.0])
+    for t in range(1, sched.T + 1):
+        abar = sched.alpha_bars[t - 1]
+        assert mean_path(sched, x0, t).tobytes() == (np.sqrt(abar) * x0).tobytes()
+        assert q_sample(sched, np.zeros(1), t, eps).tobytes() == (
+            np.sqrt(abar) * 0.0 + np.sqrt(1.0 - abar) * eps
+        ).tobytes()
+    steps = np.arange(1, sched.T + 1)
+    rows = np.ones((sched.T, 1))
+    want = np.sqrt(sched.alpha_bars)[:, None] * rows + np.sqrt(1.0 - sched.alpha_bars)[:, None]
+    assert q_sample(sched, rows, steps, rows).tobytes() == want.tobytes()
 
 
 def test_q_sample_zero_x0():

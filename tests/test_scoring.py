@@ -10,9 +10,10 @@ from irfad.scoring import (
     _axis_coords,
     bilinear_upsample,
     image_score,
+    image_scores,
     score_map,
 )
-from oracles import bilinear_four_gather
+from oracles import bilinear_four_gather, image_scores_two_pass
 
 
 def test_channel_norm_pythagorean():
@@ -88,6 +89,36 @@ def test_upsample_matches_four_gather_oracle(n, h, w, dH, dW, scale, flat, const
     slack = 4 * eps * np.abs(a).max() + 4 * np.finfo(np.float64).smallest_subnormal
     assert up.min() >= a.min() - slack
     assert up.max() <= a.max() + slack
+
+
+# Both zeros, subnormals, and magnitudes whose squares neither overflow nor
+# all vanish.
+_ENTRY = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(-1e150, 1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_image_scores_equal_the_two_pass_oracle(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    c = data.draw(st.integers(1, 5), label="c")
+    # (d, 1, 1) is how a vector sample's field is scored
+    h, w = data.draw(st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 4)]), label="h, w")
+    entries = st.lists(_ENTRY, min_size=n * c * h * w, max_size=n * c * h * w)
+    fields = np.array(data.draw(entries, label="entries")).reshape(n, c, h, w)
+    fmaps, s_diff, s_nll = image_scores_two_pass(fields)
+    got_diff, got_nll = image_scores(fields)
+    assert got_diff.tobytes() == s_diff.tobytes()
+    assert got_nll.tobytes() == s_nll.tobytes()
+    for i in range(n):
+        one = image_score(fields[i])
+        assert np.array([one.s_diff, one.s_nll, one.s]).tobytes() == np.array(
+            [s_diff[i], s_nll[i], s_diff[i] + s_nll[i]]
+        ).tobytes()
+        assert score_map(fields[i], (h, w)).feature_scale.tobytes() == fmaps[i].tobytes()
 
 
 def test_cached_axis_coords_are_read_only():
