@@ -73,7 +73,8 @@ def reconstruct_batch(
     its slots in the order they are drawn. `ready(j)`, when given, is
     called before noise[j] is first read and returns once that slot has
     been drawn, so the chain can start while later slots are still being
-    drawn on another thread.
+    drawn on another thread; the scorer passes the wait on slot j's future
+    in its one-thread noise executor, which re-raises a failed draw.
     """
     t_start = check_step(t_start, schedule.T)
     x0 = _as_batch(net, x0)
@@ -98,22 +99,18 @@ def reconstruct_batch(
     return np.mean((x0 - xt) ** 2, axis=1)
 
 
-def draw_recon_noise(
-    rng: np.random.Generator,
-    out: Sequence[np.ndarray],
-    drawn: Callable[[int], None] | None = None,
-) -> Sequence[np.ndarray]:
+def draw_recon_noise(rng: np.random.Generator, out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
     """Fill a chain's `steps` (B, d) slots with standard normals, in place,
     and return them; `out` may be a list of arrays or one (steps, B, d) array.
 
     Draw order: the jump noise out[0] first, then one slot per noise-
-    injecting reverse step, out[1] .. out[steps - 1]. With `drawn`,
-    drawn(k) is called once slot k is in, so another thread can read it.
+    injecting reverse step, out[1] .. out[steps - 1]. Filling the slots one
+    call at a time, in that order, draws the same bits: the scorer's noise
+    executor runs one task per slot, `draw_recon_noise(rng, [slot])`, while
+    the chain reads the slots already in.
     """
-    for k in range(len(out)):
-        rng.standard_normal(out=out[k])
-        if drawn is not None:
-            drawn(k)
+    for slot in out:
+        rng.standard_normal(out=slot)
     return out
 
 

@@ -170,13 +170,19 @@ def _make_scorer(cfg: RunConfig, kind: str, net, schedule, dataset: Dataset) -> 
 
 
 def _check_map_target(cfg: RunConfig, dataset: Dataset) -> None:
-    """save_maps needs a residual-field scorer and a target no smaller than the field."""
+    """save_maps needs a residual-field scorer and a target no smaller than
+    the field whose (n, H, W) float64 maps fit the address space."""
     if cfg.scorer not in (IRF_MEAN, IRF_NOISY):
         raise ConfigError(f"save_maps needs an irf scorer, got scorer={cfg.scorer}")
     _, h, w = field_shape(dataset.sample_shape)
     if cfg.up_height < h or cfg.up_width < w:
         raise ConfigError(
             f"save_maps target ({cfg.up_height}, {cfg.up_width}) is below the field's ({h}, {w})"
+        )
+    if 8 * len(dataset) * cfg.up_height * cfg.up_width > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"save_maps target ({cfg.up_height}, {cfg.up_width}) for {len(dataset)} samples "
+            "exceeds the addressable size"
         )
 
 

@@ -149,9 +149,12 @@ class NoisePredictor:
             beta_end=schedule.beta_end,
             seed=int(seed),
         )
+        shapes = cls.layer_shapes(spec)
+        if any(8 * rows * cols > np.iinfo(np.intp).max for (rows, cols), _ in shapes):
+            weights = [w for w, _ in shapes]
+            raise ParameterError(f"layer weights {weights} exceed the addressable size")
         rng = make_rng(seed, "net-init")
         params: list[np.ndarray] = []
-        shapes = cls.layer_shapes(spec)
         for i, (w_shape, b_shape) in enumerate(shapes):
             last = i == len(shapes) - 1
             if last:

@@ -9,21 +9,24 @@ produced; the multi-step baselines return image scores only.
 
 A call runs its batches on up to min(workers, batches) threads, the
 calling thread among them, where `_workers` shares the cores out among
-BLAS's own threads; with one batch or one worker no scoring thread
-starts. Batches are independent and NumPy and BLAS release the GIL, so
-the threads share the cores without a change to any output bit or
-evaluation count.
+BLAS's own threads; the others are the threads of one executor
+(`irfad-scorer`), and with one batch or one worker none starts. Batches
+are independent and NumPy and BLAS release the GIL, so the threads share
+the cores without a change to any output bit or evaluation count.
 
 Both stochastic scorers draw their noise per batch, in batch order, into
 arrays the thread taking the batch allocates, so the bits are those of
 one thread scoring the batches in order and a thread holds one batch of
 noise at a time. The noise is drawn as the batch is taken, except in
 one case: a reconstruction call with one batch and more than one worker
-runs its chain on the calling thread alone, so one producer thread
+runs its chain on the calling thread alone, so a one-thread executor
 (`irfad-noise`) draws the chain's `steps` (rows, d) slots on the idle
-core, in the same order, while the chain reads them one step at a time.
-Scoring a pass is deterministic for a given configuration: each call
-re-derives its noise stream from (seed, pass label).
+core, one task per slot in draw order, while the chain waits on each
+slot's future before it reads the slot. Leaving a call, by its end, a
+failure or an interrupt, cancels every task not yet started and joins
+every thread it started (`_threads`). Scoring a pass is deterministic
+for a given configuration: each call re-derives its noise stream from
+(seed, pass label).
 
 Every call refuses non-finite scores with a NumericError before it
 returns, so no caller writes them.
@@ -36,7 +39,7 @@ import ctypes
 import functools
 import os
 import threading
-from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,75 +116,43 @@ def field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
     raise ParameterError(f"unsupported sample shape {sample_shape}")
 
 
-class _Stopped(Exception):
-    """A chain abandoned because the draw of its noise failed first."""
-
-
-class _NoiseProducer:
-    """One thread, `irfad-noise`, that fills one batch's noise slots in draw
-    order on an idle core while the calling thread runs the batch's chain.
-
-    Used as `with _NoiseProducer(fill, slots) as ready:`, where
-    `fill(slots, drawn)` calls drawn(k) once slot k is in and `ready(k)`
-    returns once it is. Leaving the block, normally or by a failure or an
-    interrupt, stops the draw at its next slot and joins the thread; a
-    failure of the draw wakes a waiting `ready` and is re-raised with its
-    own type.
-    """
-
-    def __init__(self, fill: Callable, slots):
-        self._cond = threading.Condition()
-        self._drawn = 0  # slots drawn so far, written under the condition
-        self._over = False  # the draw ended, or the block was left
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._run, args=(fill, slots), name="irfad-noise")
-
-    def __enter__(self) -> Callable[[int], None]:
-        self._thread.start()
-        return self._ready
-
-    def __exit__(self, *exc_info) -> None:
-        with self._cond:
-            self._over = True
+@contextlib.contextmanager
+def _threads(workers: int, name: str):
+    """An executor of up to `workers` threads named `name`_N, shut down on
+    leaving the block: the tasks that have not started are cancelled and
+    every thread is joined. An interrupt during the join starts the join
+    again and is re-raised once every thread has ended."""
+    pool = ThreadPoolExecutor(workers, thread_name_prefix=name)
+    try:
+        yield pool
+    finally:
         interrupt = None
-        while self._thread.is_alive():
+        while True:
             try:
-                self._thread.join()
+                pool.shutdown(cancel_futures=True)
+                break
             except BaseException as exc:  # interrupted while joining
                 interrupt = interrupt or exc
         if interrupt is not None:
             raise interrupt
-        error, self._error = self._error, None  # the traceback's frames hold self
-        if error is not None:
-            raise error
 
-    def _run(self, fill: Callable, slots) -> None:
-        try:
-            fill(slots, self._mark)
-        except _Stopped:
-            pass  # the block was left before the last slot
-        except BaseException as exc:
-            self._error = exc
-        finally:
-            with self._cond:
-                self._over = True
-                self._cond.notify_all()
 
-    def _mark(self, k: int) -> None:
-        with self._cond:
-            self._drawn = k + 1
-            self._cond.notify_all()
-            if self._over:
-                raise _Stopped
+@contextlib.contextmanager
+def _drawn_alongside(rng: np.random.Generator, slots: list):
+    """Draw a chain's noise slots in order on one `irfad-noise` thread while
+    the block runs; yields ready(k), which returns once slot k is in and
+    re-raises the failure of its draw, or of an earlier one, with its type."""
+    futures = []
 
-    def _ready(self, k: int) -> None:
-        if self._drawn > k:
-            return
-        with self._cond:
-            while self._drawn <= k:
-                if self._over:
-                    raise _Stopped  # __exit__ re-raises the draw's failure
-                self._cond.wait()
+    def draw(k: int) -> None:
+        if k:
+            futures[k - 1].result()  # done already: one thread draws in slot order
+        baselines.draw_recon_noise(rng, [slots[k]])
+
+    with _threads(1, "irfad-noise") as pool:
+        for k in range(len(slots)):
+            futures.append(pool.submit(draw, k))
+        yield lambda k: futures[k].result()
 
 
 class Scorer:
@@ -281,23 +252,15 @@ class Scorer:
             with np.errstate(**fp_errors):
                 work(own)
 
-        started = []
-        try:
-            for own in counters[1:]:
-                thread = threading.Thread(target=work_as_caller, args=(own, np.geterr()),
-                                          name="irfad-scorer")
-                thread.start()
-                started.append(thread)
-            work(counters[0])
-        except BaseException as exc:  # a thread that would not start, or an interrupt
-            errors.append(exc)
-        finally:
-            for thread in started:
-                while thread.is_alive():
-                    try:
-                        thread.join()
-                    except BaseException as exc:  # interrupted while joining
-                        errors.append(exc)
+        # one worker needs no executor, which costs about 20 us a call to make
+        threads = _threads(workers - 1, "irfad-scorer") if workers > 1 else contextlib.nullcontext()
+        with threads as pool:
+            try:
+                for own in counters[1:]:
+                    pool.submit(work_as_caller, own, np.geterr())
+                work(counters[0])
+            except BaseException as exc:  # a thread that would not start, or an interrupt
+                errors.append(exc)
         if errors:
             error = errors[0]
             errors.clear()  # the traceback's frames hold this list
@@ -333,7 +296,6 @@ class Scorer:
         draw = None
         if self.kind == RECON:
             rng = make_rng(self.noise_seed, "score-recon")
-            fill = functools.partial(baselines.draw_recon_noise, rng)
             # one batch runs on the calling thread alone: draw its noise on
             # an idle core while the chain runs, instead of before it
             alongside = n <= self.batch_size and _workers() > 1
@@ -342,11 +304,11 @@ class Scorer:
                 # one array per slot: with one (steps, rows, d) block the blob
                 # benchmark's peak RSS read 1-9 MiB above separate arrays'
                 slots = [np.empty((stop - start, d)) for _ in range(self.recon_steps)]
-                return slots if alongside else fill(slots)
+                return slots if alongside else baselines.draw_recon_noise(rng, slots)
 
             def score(start, stop, slots, own):
-                producer = _NoiseProducer(fill, slots) if alongside else contextlib.nullcontext()
-                with producer as ready:
+                drawing = _drawn_alongside(rng, slots) if alongside else contextlib.nullcontext()
+                with drawing as ready:
                     scores[start:stop] = baselines.reconstruct_batch(
                         self.net,
                         self.schedule,

@@ -97,6 +97,8 @@ def linear_schedule(
     """Linearly spaced beta_t from beta_start (t=1) to beta_end (t=T)."""
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ParameterError(f"T must be a positive integer, got {T!r}")
+    if 8 * int(T) > np.iinfo(np.intp).max:  # a float64 table of T entries
+        raise ParameterError(f"T = {T} exceeds the addressable size")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ParameterError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"

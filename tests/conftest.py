@@ -1,5 +1,8 @@
 """Shared fixtures: the reference toy and blob runs, trained once per session."""
 
+import contextlib
+import faulthandler
+import os
 import threading
 import time
 from types import SimpleNamespace
@@ -31,6 +34,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, ok, detail in ACCEPTANCE_LOG:
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"[{status}] {name}: {detail}")
+
+
+# The slowest test takes about 12 s (C4's call; the reference runs train in
+# session fixtures, before this timer starts). A lost wake-up between
+# scoring threads would hang the whole suite, so a test still running after
+# this long ends the process with every thread's traceback on stderr.
+HANG_LIMIT_S = 120.0
+
+
+@pytest.fixture(scope="session")
+def _terminal_stderr(request):
+    """A descriptor of the stderr the suite started with: the tracebacks
+    are written when the timer fires, while fd 2 is being captured."""
+    capture = request.config.pluginmanager.getplugin("capturemanager")
+    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
+        fd = os.dup(2)
+    yield fd
+    os.close(fd)
+
+
+@pytest.fixture(autouse=True)
+def _fail_a_hang(_terminal_stderr):
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

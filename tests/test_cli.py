@@ -848,6 +848,28 @@ def test_gen_count_beyond_memory_exits_with_its_kind(tmp_path, monkeypatch, caps
     assert not (tmp_path / "b" / "manifest").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, kind",
+    [("train", "T", "usage"), ("train", "hidden", "usage"), ("train", "embed_dim", "usage"),
+     ("score", "up_height", "config"), ("score", "up_width", "config")],
+)
+def test_size_past_the_address_space_exits_2(command, key, kind, tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    if command == "train":
+        values = dict(data=root / "data" / "train", epochs=1, hidden=16, embed_dim=8)
+    else:
+        values = dict(data=root / "data" / "test", checkpoint=root / "run" / "checkpoint.bin",
+                      save_maps="true")
+    cfg = write_config(tmp_path / "c.cfg", **{**values, key: 2**70})
+    out = tmp_path / "o"
+    res = run_cli(command, "--config", cfg, "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert_one_error_line(res, kind)
+    assert "addressable size" in res.stderr
+    assert not (out / "manifest").exists()
+    assert not (out / "scores.csv").exists()
+
+
 # -- run tables ------------------------------------------------------------------
 
 # Normal draws, any magnitude from subnormal to near the largest double, and

@@ -1,10 +1,9 @@
-import contextlib
-import faulthandler
 import os
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -29,30 +28,6 @@ from irfad.pipeline import (
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
 from irfad.scoring import image_score, image_scores
-
-
-# Each test here takes at most about 2 s; a lost wake-up between scoring
-# threads would hang the whole suite, so a test still running after this
-# long ends the process with every thread's traceback on stderr.
-HANG_LIMIT_S = 60.0
-
-
-@pytest.fixture(scope="module")
-def _terminal_stderr(request):
-    """A descriptor of the stderr the suite started with: the tracebacks
-    are written when the timer fires, while fd 2 is being captured."""
-    capture = request.config.pluginmanager.getplugin("capturemanager")
-    with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
-        fd = os.dup(2)
-    yield fd
-    os.close(fd)
-
-
-@pytest.fixture(autouse=True)
-def _fail_a_hang(_terminal_stderr):
-    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_terminal_stderr)
-    yield
-    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +246,19 @@ def started(monkeypatch):
     return names
 
 
+def _count(started, pool):
+    """Threads of the executor `pool` among the started ones (`pool`_N)."""
+    return sum(name.rpartition("_")[0] == pool for name in started)
+
+
+def _assert_scorer_threads(started, workers, batches):
+    """The `workers - 1` loops besides the caller's run on one executor. A
+    loop that finds no batch left ends, and its idle thread may take the
+    next loop, so up to workers - 1 threads start: at least the first."""
+    most = min(workers, batches) - 1
+    assert min(most, 1) <= _count(started, "irfad-scorer") <= most
+
+
 @pytest.mark.parametrize("workers", [1, 2, MORE_THAN_CORES])
 @pytest.mark.parametrize("kind", KINDS)
 def test_parallel_scorer_matches_the_serial_loop(setup, monkeypatch, started, kind, workers):
@@ -287,10 +275,11 @@ def test_parallel_scorer_matches_the_serial_loop(setup, monkeypatch, started, ki
     _assert_same_bits(got, want)
     assert counter.count == 5 + want_counter.count
     # the calling thread is one worker; several batches draw their noise inline
-    assert started == ["irfad-scorer"] * (min(workers, 12) - 1)
+    _assert_scorer_threads(started, workers, 12)
+    assert _count(started, "irfad-scorer") == len(started)
     started.clear()
-    scorer(ROWS[:2])  # one batch: no scoring thread, but recon's producer takes an idle core
-    assert started == (["irfad-noise"] if kind == RECON and workers > 1 else [])
+    scorer(ROWS[:2])  # one batch: no scoring thread, but recon's noise thread takes an idle core
+    assert started == (["irfad-noise_0"] if kind == RECON and workers > 1 else [])
 
 
 @pytest.mark.parametrize("workers", [1, 2, MORE_THAN_CORES])
@@ -310,8 +299,9 @@ def test_noise_producer_starts_only_for_one_recon_batch_with_an_idle_core(
     assert counter.count == want_counter.count == NFE_PER_SAMPLE[kind] * rows
     batches = rows // 2
     producer = kind == RECON and batches == 1 and workers > 1
-    scorers = min(workers, batches) - 1
-    assert sorted(started) == ["irfad-noise"] * producer + ["irfad-scorer"] * scorers
+    assert _count(started, "irfad-noise") == producer
+    _assert_scorer_threads(started, workers, batches)
+    assert _count(started, "irfad-noise") + _count(started, "irfad-scorer") == len(started)
 
 
 @pytest.mark.parametrize("blas, cores, workers", [(None, 4, 4), (1, 4, 4), (2, 4, 2), (3, 4, 1), (8, 4, 1)])
@@ -408,7 +398,31 @@ def test_parallel_scorer_interrupt_stops_and_joins_every_thread(setup, monkeypat
     assert len(calls) < 12  # no thread took a batch after the interrupt
 
 
-# -- the recon noise producer under failure ----------------------------------------
+def test_an_interrupt_during_the_join_joins_again_and_is_reraised(monkeypatch):
+    release = threading.Event()
+    joins = []
+    join = threading.Thread.join
+
+    def interrupted_join(self, timeout=None):
+        joins.append(self.name)
+        if len(joins) == 1:
+            raise KeyboardInterrupt  # the task still runs: the join must start again
+        release.set()
+        join(self, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        with pipeline._threads(1, "irfad-test") as pool:
+            running = pool.submit(release.wait, 10.0)
+            queued = pool.submit(release.wait, 10.0)
+    assert joins == ["irfad-test_0", "irfad-test_0"]
+    assert running.result() is True and queued.cancelled()
+    assert threading.active_count() == before
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("irfad-")]
+
+
+# -- the recon noise draw under failure ---------------------------------------------
 
 
 class DrawFailed(Exception):
@@ -416,43 +430,51 @@ class DrawFailed(Exception):
 
 
 def _paced_draw(monkeypatch, pace):
-    """Route the producer's draw through `pace(k)`, called after slot k is
-    drawn and before the waiting chain hears of it; returns the slots drawn."""
+    """Route each slot's draw on the noise thread through `pace(k)`, called
+    once slot k is drawn and before its task ends; returns the slots drawn."""
     slots = []
     draw = baselines.draw_recon_noise
 
-    def paced(rng, out, drawn=None):
-        assert drawn is not None, "the inline fill ran where the producer should"
-
-        def step(k):
-            slots.append(k)
-            pace(k)
-            drawn(k)
-
-        return draw(rng, out, step)
+    def paced(rng, out):
+        assert threading.current_thread().name == "irfad-noise_0", \
+            "the inline draw ran where the producer should"
+        assert len(out) == 1  # one task per slot
+        draw(rng, out)
+        slots.append(len(slots))
+        pace(slots[-1])
+        return out
 
     monkeypatch.setattr(baselines, "draw_recon_noise", paced)
     return slots
 
 
-def _producers(monkeypatch):
-    """Each noise producer the pipeline creates."""
-    made = []
+def _block_left(monkeypatch):
+    """An event set once a call leaves an executor's block, after the tasks
+    that have not started are cancelled and before its threads are joined."""
+    left = threading.Event()
 
-    class Watched(pipeline._NoiseProducer):
-        def __init__(self, fill, slots):
-            super().__init__(fill, slots)
-            made.append(self)
+    class Watched(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            left.set()
+            super().shutdown(wait=wait)
 
-    monkeypatch.setattr(pipeline, "_NoiseProducer", Watched)
-    return made
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Watched)
+    return left
 
 
-def _wait_until_the_chain_left(producers):
-    """Hold the draw until the calling thread has left the producer's block."""
-    deadline = time.monotonic() + 10.0
-    while not producers[0]._over and time.monotonic() < deadline:
-        time.sleep(0.001)
+def _hold_slot_1(monkeypatch):
+    """Hold the draw of slot 1 until the chain has left the block; returns
+    the slots drawn and an event set once slot 1 is drawn."""
+    left = _block_left(monkeypatch)
+    mid_draw = threading.Event()
+
+    def pace(k):
+        if k == 1:
+            mid_draw.set()
+            left.wait(10.0)
+
+    return _paced_draw(monkeypatch, pace), mid_draw
 
 
 def _recon(net, schedule, steps=8):
@@ -473,36 +495,33 @@ def test_producer_draw_failure_is_reraised_with_its_own_type(setup, monkeypatch,
     with pytest.raises(DrawFailed, match="no more noise"):
         _recon(net, schedule)(ROWS[:2], EvalCounter())
     assert threading.active_count() == before
-    assert started.count("irfad-noise") == 1
-    assert slots == [0, 1]
+    assert started == ["irfad-noise_0"]
+    assert slots == [0, 1]  # of 8: each later task re-raises the failure before drawing
 
 
 def test_nan_sample_in_a_batch_stops_the_producer(setup, monkeypatch):
     schedule, net, _ = setup
     samples = ROWS[:2].copy()
     samples[1, 0, 0, 0] = np.nan  # the chain fails at its first evaluation
-    producers = _producers(monkeypatch)
-    # hold the draw after slot 1 until the chain's failure has left the block
-    slots = _paced_draw(monkeypatch, lambda k: k == 1 and _wait_until_the_chain_left(producers))
+    slots, mid_draw = _hold_slot_1(monkeypatch)
+    predict = baselines.predict_noise
+
+    def after_slot_1_started(*args):
+        assert mid_draw.wait(10.0)
+        return predict(*args)
+
+    monkeypatch.setattr(baselines, "predict_noise", after_slot_1_started)
     monkeypatch.setattr(pipeline, "_workers", lambda: 2)
     before = threading.active_count()
     with pytest.raises(NumericError, match="non-finite network input"):
         _recon(net, schedule)(samples, EvalCounter())
     assert threading.active_count() == before
-    assert slots == [0, 1]  # of 8: the producer stopped at the next slot
+    assert slots == [0, 1]  # of 8: no draw started after the block was left
 
 
 def test_interrupt_on_the_calling_thread_mid_draw_stops_the_producer(setup, monkeypatch):
     schedule, net, _ = setup
-    producers = _producers(monkeypatch)
-    mid_draw = threading.Event()
-
-    def pace(k):
-        if k == 1:
-            mid_draw.set()
-            _wait_until_the_chain_left(producers)
-
-    slots = _paced_draw(monkeypatch, pace)
+    slots, mid_draw = _hold_slot_1(monkeypatch)
 
     def interrupted(*args):
         assert threading.current_thread() is threading.main_thread()

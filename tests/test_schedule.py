@@ -39,6 +39,8 @@ def test_two_step_product():
         (10, 0.02, 1e-4),
         (10, 1e-4, 1.0),
         (10, 1e-4, 1.5),
+        (2**61, 1e-4, 0.02),  # 8 * T bytes past the address space
+        (np.int64(2**61), 1e-4, 0.02),
     ],
 )
 def test_invalid_ranges(T, start, end):
