@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .data import read_key_values
+from .data import parse_ints, read_key_values
 from .errors import ConfigError, DataError
 from .rng import SEED_LIMIT
 
@@ -27,15 +27,6 @@ def _parse_bool(value: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {value!r}")
-
-
-def _parse_ints(value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in value.split(","))
-    except ValueError as exc:
-        raise ConfigError(
-            f"expected comma-separated integers with no empty entry, got {value!r}"
-        ) from exc
 
 
 @dataclass
@@ -105,10 +96,16 @@ class RunConfig:
             elif isinstance(current, float):
                 value = float(raw)
             elif isinstance(current, tuple):
-                value = _parse_ints(raw)
+                value = parse_ints(raw)
+                if not value:  # parse_ints reads "" as no entry
+                    raise ValueError(raw)
             else:
                 value = raw
         except ValueError as exc:
+            if isinstance(current, tuple):
+                raise ConfigError(
+                    f"expected comma-separated integers with no empty entry, got {raw!r}"
+                ) from exc
             raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
         setattr(self, key, value)
 

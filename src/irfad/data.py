@@ -236,36 +236,60 @@ def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def read_key_values(path: str | os.PathLike) -> dict[str, str]:
-    """The stripped `key=value` lines of a UTF-8 text file; blank and `#`
-    lines skipped, any other needs a key and `=`; a repeated key's last value wins."""
-    path = os.fspath(path)
+def parse_key_values(text: str, where: str) -> dict[str, str]:
+    """The stripped `key=value` lines of `text`, split at line feeds only.
+
+    Blank and `#` lines are skipped; any other line needs a key and `=`,
+    else DataError("<where>:<line>: expected key=value, got '<line>'").
+    A repeated key's last value wins. Configs, manifests and checkpoint
+    headers all go through here.
+    """
     items = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key:
+            raise DataError(f"{where}:{lineno}: expected key=value, got {line!r}")
+        items[key] = value
+    return items
+
+
+def read_key_values(path: str | os.PathLike) -> dict[str, str]:
+    """`parse_key_values` of a UTF-8 text file, read with universal newlines
+    (so `\\r\\n` and `\\r` end a line too); an unreadable or non-UTF-8 file
+    is a DataError."""
+    path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = (part.strip() for part in line.partition("="))
-                if not sep or not key:
-                    raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                items[key] = value
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return items
+    return parse_key_values(text, path)
 
 
-def write_key_values(path: str | os.PathLike, items) -> None:
-    """Write one `key=value` line per (key, value) pair, through atomic_write.
-    A key or value that holds a line break would not read back: DataError."""
+def format_key_values(items, where: str | os.PathLike) -> bytes:
+    """One UTF-8 `key=value` line per (key, value) pair. A key or value that
+    holds a line break would not read back: DataError naming `where`."""
     lines = [f"{key}={value}" for key, value in items]
     for line in lines:
         if "\n" in line or "\r" in line:
-            raise DataError(f"{path}: line break in {line!r}")
-    atomic_write(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
+            raise DataError(f"{where}: line break in {line!r}")
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
+def write_key_values(path: str | os.PathLike, items) -> None:
+    """`format_key_values(items)`, written to `path` through atomic_write."""
+    atomic_write(path, format_key_values(items, path))
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; the empty text is the empty tuple.
+    ValueError on an empty entry or a non-integer one."""
+    return tuple(int(part) for part in text.split(",")) if text else ()
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
@@ -319,11 +343,11 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         if int(manifest["format_version"]) != _FORMAT_VERSION:
             raise DataError(f"unsupported dataset format {manifest['format_version']}")
         count = int(manifest["count"])
-        shape = tuple(int(s) for s in manifest["shape"].split(","))
+        shape = parse_ints(manifest["shape"])
         has_masks = manifest["has_masks"]
         role = manifest["role"]
         if has_masks == "true":
-            mask_shape = tuple(int(s) for s in manifest["mask_shape"].split(","))
+            mask_shape = parse_ints(manifest["mask_shape"])
     except (KeyError, ValueError) as exc:
         raise DataError(f"bad manifest in {path}: {exc}") from exc
     if has_masks not in ("true", "false"):

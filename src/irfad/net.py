@@ -16,17 +16,17 @@ noise; hidden layers use variance-scaled Gaussian init.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write
+from .data import atomic_write, format_key_values, parse_ints, parse_key_values
 from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
+    DataError,
     NumericError,
     ParameterError,
     ScheduleMismatchError,
@@ -37,7 +37,7 @@ from .rng import make_rng
 from .schedule import NoiseSchedule, check_step
 
 CHECKPOINT_MAGIC = b"IRFN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _EMBED_MAX_PERIOD = 10000.0
 
@@ -83,7 +83,11 @@ class EvalCounter:
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Architecture and schedule binding, persisted in checkpoints."""
+    """Architecture and schedule binding, persisted in checkpoints.
+
+    The one check of a spec's ranges, for a new net and a loaded one alike:
+    ParameterError names the first field out of range.
+    """
 
     d: int
     hidden: tuple[int, ...]
@@ -92,6 +96,24 @@ class NetSpec:
     beta_start: float
     beta_end: float
     seed: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ParameterError(f"d must be >= 1, got {self.d}")
+        if any(h < 1 for h in self.hidden):
+            raise ParameterError(f"hidden widths must be >= 1, got {self.hidden}")
+        if self.m < 2 or self.m % 2 != 0:
+            raise ParameterError(f"m must be even and >= 2, got {self.m}")
+        if self.T < 1:
+            raise ParameterError(f"T must be >= 1, got {self.T}")
+        for key in ("beta_start", "beta_end"):
+            if not math.isfinite(getattr(self, key)):
+                raise ParameterError(f"{key} must be finite, got {getattr(self, key)}")
+        weights = [w for w, _ in NoisePredictor.layer_shapes(self)]
+        if any(8 * rows * cols > np.iinfo(np.intp).max for rows, cols in weights):
+            raise ParameterError(
+                f"d, hidden and m give layer weights {weights} beyond the addressable size"
+            )
 
 
 class NoisePredictor:
@@ -134,10 +156,6 @@ class NoisePredictor:
         schedule: NoiseSchedule,
         seed: int,
     ) -> "NoisePredictor":
-        if d < 1 or any(h < 1 for h in hidden):
-            raise ParameterError("layer widths must be positive")
-        if m < 2 or m % 2 != 0:
-            raise ParameterError(f"embedding dim must be even and >= 2, got {m}")
         if schedule.beta_start is None or schedule.beta_end is None:
             raise ParameterError("network creation requires a parameterized schedule")
         spec = NetSpec(
@@ -150,9 +168,6 @@ class NoisePredictor:
             seed=int(seed),
         )
         shapes = cls.layer_shapes(spec)
-        if any(8 * rows * cols > np.iinfo(np.intp).max for (rows, cols), _ in shapes):
-            weights = [w for w, _ in shapes]
-            raise ParameterError(f"layer weights {weights} exceed the addressable size")
         rng = make_rng(seed, "net-init")
         params: list[np.ndarray] = []
         for i, (w_shape, b_shape) in enumerate(shapes):
@@ -248,72 +263,50 @@ def predict_noise(
 #
 # Layout (all integers little-endian):
 #   bytes 0..3   magic "IRFN"
-#   bytes 4..7   uint32 format version
+#   bytes 4..7   uint32 format version (2)
 #   bytes 8..11  uint32 header length L
-#   bytes 12..   L bytes of UTF-8 JSON: {d, hidden, m, T, beta_start,
-#                beta_end, seed, param_shapes}
+#   bytes 12..   L bytes of UTF-8 `key=value` lines (data.format_key_values):
+#                d, hidden (comma-separated, empty for none), m, T,
+#                beta_start, beta_end (repr of the float), seed
 #   then the parameter arrays, raw float64 little-endian, row-major, in
-#   declared layer order [W0, b0, W1, b1, ..., Wout, bout].
+#   declared layer order [W0, b0, W1, b1, ..., Wout, bout], whose shapes
+#   NoisePredictor.layer_shapes derives from the header.
+
+# each header key and its parser, in NetSpec's field order, which is the
+# order save_checkpoint writes them in
+_HEADER = {"d": int, "hidden": parse_ints, "m": int, "T": int,
+           "beta_start": float, "beta_end": float, "seed": int}
 
 
 def save_checkpoint(net: NoisePredictor, path: str | os.PathLike) -> None:
     for p in net.params:
         if not np.all(np.isfinite(p)):
             raise NumericError("refusing to save non-finite parameters")
-    header = {
-        "d": net.spec.d,
-        "hidden": list(net.spec.hidden),
-        "m": net.spec.m,
-        "T": net.spec.T,
-        "beta_start": net.spec.beta_start,
-        "beta_end": net.spec.beta_end,
-        "seed": net.spec.seed,
-        "param_shapes": [list(p.shape) for p in net.params],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    fields = {**vars(net.spec), "hidden": ",".join(map(str, net.spec.hidden))}
+    header = format_key_values(fields.items(), path)  # a float's text is its repr
     payload = b"".join(
         [
             CHECKPOINT_MAGIC,
             CHECKPOINT_VERSION.to_bytes(4, "little"),
-            len(blob).to_bytes(4, "little"),
-            blob,
+            len(header).to_bytes(4, "little"),
+            header,
             *(np.ascontiguousarray(p, dtype="<f8") for p in net.params),
         ]
     )
     atomic_write(path, payload)
 
 
-def _integer(header: dict, key: str, low: int | None = None) -> int:
-    value = header[key]
-    if type(value) is not int or (low is not None and value < low):  # bool is not int
-        bound = "" if low is None else f" >= {low}"
-        raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
-    return value
-
-
-def _header_spec(header) -> NetSpec:
-    """The NetSpec a checkpoint header records; ValueError if a field is mistyped
-    or out of range."""
-    if not isinstance(header, dict):
-        raise ValueError("header is not a JSON object")
-    hidden = header["hidden"]
-    if not isinstance(hidden, list) or any(type(h) is not int or h < 1 for h in hidden):
-        raise ValueError(f"hidden must be a list of integers >= 1, got {hidden!r}")
-    m = _integer(header, "m", 2)
-    if m % 2 != 0:
-        raise ValueError(f"m must be even, got {m}")
-    for key in ("beta_start", "beta_end"):
-        if type(header[key]) not in (int, float) or not math.isfinite(header[key]):
-            raise ValueError(f"{key} must be a finite number, got {header[key]!r}")
-    return NetSpec(
-        d=_integer(header, "d", 1),
-        hidden=tuple(hidden),
-        m=m,
-        T=_integer(header, "T", 1),
-        beta_start=header["beta_start"],
-        beta_end=header["beta_end"],
-        seed=_integer(header, "seed"),
-    )
+def _header_spec(text: str, where: str) -> NetSpec:
+    """The NetSpec a checkpoint header records. A missing key is a KeyError,
+    a bad value a ValueError or ParameterError naming its key."""
+    header = parse_key_values(text, where)
+    fields = {}
+    for key, parse in _HEADER.items():
+        try:
+            fields[key] = parse(header[key])
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return NetSpec(**fields)
 
 
 def load_checkpoint(
@@ -322,13 +315,15 @@ def load_checkpoint(
     """Load a checkpoint; refuses version or schedule mismatches.
 
     When `schedule` is given, its T (and beta range, when parameterized)
-    must match the values recorded at save time. A header that is not a
-    JSON object or holds a mistyped or out-of-range field (`_header_spec`),
-    parameter shapes that disagree with the recorded d, hidden and m, and
-    non-finite parameters make the file corrupt. Every length is checked
-    against the file size before it is read or allocated, so a corrupt
-    length field costs no large read; each parameter is read straight into
-    its own fresh, aligned array.
+    must match the values recorded at save time. A header that is not
+    UTF-8 `key=value` text, lacks a key or holds a value that does not
+    parse or that `NetSpec` refuses, and non-finite parameters make the
+    file corrupt. The parameter shapes come from the header's d, hidden
+    and m, so a header that disagrees with the payload reads as truncated
+    or trailing bytes. Every length is checked against the file size
+    before it is read or allocated, so a corrupt length field costs no
+    large read; each parameter is read straight into its own fresh,
+    aligned array.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -343,17 +338,12 @@ def load_checkpoint(
         hlen = int.from_bytes(head[8:12], "little")
         if size < 12 + hlen:
             raise CorruptCheckpointError(f"{path}: truncated header")
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-            spec = _header_spec(header)
-            shapes = [tuple(s) for s in header["param_shapes"]]
-            expected = [s for pair in NoisePredictor.layer_shapes(spec) for s in pair]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
-        if shapes != expected:
-            raise CorruptCheckpointError(
-                f"{path}: param_shapes {shapes} do not fit d, hidden and m ({expected})"
-            )
+        try:  # ValueError covers ParameterError and UnicodeDecodeError
+            spec = _header_spec(fh.read(hlen).decode("utf-8"), f"{path} header")
+        except KeyError as exc:
+            raise CorruptCheckpointError(f"{path}: header has no {exc} entry") from exc
+        except (ValueError, DataError) as exc:
+            raise CorruptCheckpointError(f"{path}: bad header ({exc})") from exc
         if schedule is not None:
             mismatches = []
             if schedule.T != spec.T:
@@ -366,7 +356,7 @@ def load_checkpoint(
                 raise ScheduleMismatchError(f"{path}: {'; '.join(mismatches)}")
         offset = 12 + hlen
         params = []
-        for shape in expected:
+        for shape in (s for pair in NoisePredictor.layer_shapes(spec) for s in pair):
             nbytes = math.prod(shape) * 8
             if size - offset < nbytes:
                 raise CorruptCheckpointError(f"{path}: truncated parameter data")

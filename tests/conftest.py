@@ -36,29 +36,38 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"[{status}] {name}: {detail}")
 
 
-# The slowest test takes about 12 s (C4's call; the reference runs train in
-# session fixtures, before this timer starts). A lost wake-up between
-# scoring threads would hang the whole suite, so a test still running after
-# this long ends the process with every thread's traceback on stderr.
-HANG_LIMIT_S = 120.0
+# The slowest item is C1's: its set-up trains the reference toy run in a
+# session fixture and took 22-33 s on a shared 2-core box (pytest
+# --durations=0), and no other set-up plus call reached 13 s. A lost wake-up between scoring
+# threads, in a test or in a fixture's Scorer call, would hang the whole
+# suite, so an item whose set-up, call and teardown together run this long
+# ends the process with every thread's traceback on stderr.
+HANG_LIMIT_S = 300.0
+_TERMINAL_STDERR = pytest.StashKey[int]()
 
 
-@pytest.fixture(scope="session")
-def _terminal_stderr(request):
-    """A descriptor of the stderr the suite started with: the tracebacks
-    are written when the timer fires, while fd 2 is being captured."""
-    capture = request.config.pluginmanager.getplugin("capturemanager")
+def pytest_configure(config):
+    """Keep a descriptor of the stderr the suite started with: the
+    tracebacks are written when the timer fires, while fd 2 is captured."""
+    capture = config.pluginmanager.getplugin("capturemanager")
     with capture.global_and_fixture_disabled() if capture else contextlib.nullcontext():
-        fd = os.dup(2)
-    yield fd
-    os.close(fd)
+        config.stash[_TERMINAL_STDERR] = os.dup(2)
 
 
-@pytest.fixture(autouse=True)
-def _fail_a_hang(_terminal_stderr):
-    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_terminal_stderr)
-    yield
-    faulthandler.cancel_dump_traceback_later()
+def pytest_unconfigure(config):
+    os.close(config.stash[_TERMINAL_STDERR])
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm the hang timer around each item's whole protocol, so the session
+    and module fixtures it sets up or tears down are covered too."""
+    stderr = item.config.stash[_TERMINAL_STDERR]
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=stderr)
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,5 @@
 import csv
-import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -680,22 +680,51 @@ def test_non_finite_learning_rate_exits_2(tmp_path):
     assert not (tmp_path / "o" / "checkpoint.bin").exists()
 
 
+def _with_header(raw, header):
+    """Checkpoint bytes `raw` with its header replaced by `header`."""
+    hlen = int.from_bytes(raw[8:12], "little")
+    return raw[:8] + len(header).to_bytes(4, "little") + header + raw[12 + hlen :]
+
+
 def test_score_with_float_header_field_exits_3(tiny_blob_run, tmp_path):
     root, *_ = tiny_blob_run
     raw = (root / "run" / "checkpoint.bin").read_bytes()
     hlen = int.from_bytes(raw[8:12], "little")
-    header = json.loads(raw[12 : 12 + hlen])
-    header["m"] = float(header["m"])
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = re.sub(rb"(?m)^m=(\d+)$", rb"m=\1.0", raw[12 : 12 + hlen])
     bad = tmp_path / "float-m.bin"
-    bad.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+    bad.write_bytes(_with_header(raw, header))
     cfg = write_config(
         tmp_path / "c.cfg", data=str(root / "data" / "test"), checkpoint=str(bad)
     )
     res = run_cli("score", "--config", cfg, "--out", str(tmp_path / "o"))
     assert res.returncode == 3, res.stderr
-    assert res.stderr.strip().startswith("irfad: error: data:")
-    assert "m must be an integer" in res.stderr
+    assert_one_error_line(res, "data")
+    assert "bad header (m: invalid literal for int()" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "header", [b"[" * 200_000, b"d=\xff\n"], ids=["brackets", "not-utf8"]
+)
+def test_score_with_a_header_that_is_not_key_value_text_exits_3(header, tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_with_header((root / "run" / "checkpoint.bin").read_bytes(), header))
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(root / "data" / "test"), checkpoint=str(bad)
+    )
+    out = tmp_path / "o"
+    res = run_cli("score", "--config", cfg, "--out", str(out))
+    assert res.returncode == 3, res.stderr
+    assert_one_error_line(res, "data")
+    assert not (out / "manifest").exists()
+
+
+def test_cli_import_loads_no_json():
+    """Every text header irfad reads or writes is key=value: nothing imports json."""
+    probe = "import sys, irfad.cli; print('json' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_scorer_flag_selects_baseline_with_empty_components(tiny_blob_run):

@@ -1,6 +1,8 @@
-import json
+import re
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from irfad.grad import Tape, silu_denominator
 from irfad.net import (
     CHECKPOINT_MAGIC,
     EvalCounter,
+    NetSpec,
     NoisePredictor,
     load_checkpoint,
     predict_noise,
@@ -293,57 +296,159 @@ def test_checkpoint_nan_parameter_is_corrupt(tmp_path, net, schedule):
 
 
 def rewrite_header(path, edit):
-    """Replace a saved checkpoint's JSON header by edit(header)."""
+    """Replace a saved checkpoint's header bytes by edit(header)."""
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:12], "little")
-    header = edit(json.loads(raw[12 : 12 + hlen]))
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    blob = edit(raw[12 : 12 + hlen])
     path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
 
 
-def test_checkpoint_shapes_disagreeing_with_header_are_corrupt(tmp_path, net, schedule):
+HEADER_KEYS = ("d", "hidden", "m", "T", "beta_start", "beta_end", "seed")
+
+
+def set_value(key, value):
+    """A header edit that writes `key=value` over the line of `key`."""
+    line = re.compile(rf"^{key}=.*$", re.MULTILINE)
+    return lambda header: line.sub(lambda _: f"{key}={value}", header.decode()).encode()
+
+
+def test_checkpoint_header_is_key_value_lines(tmp_path, net):
     path = tmp_path / "net.bin"
     save_checkpoint(net, path)
-    rewrite_header(path, lambda header: {**header, "hidden": [128, 128]})
-    with pytest.raises(CorruptCheckpointError, match="param_shapes"):
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    assert raw[4:8] == (2).to_bytes(4, "little")
+    assert raw[12 : 12 + hlen] == (
+        b"d=3\nhidden=16,16\nm=8\nT=1000\nbeta_start=0.0001\nbeta_end=0.02\nseed=7\n"
+    )
+
+
+def test_format_1_checkpoint_is_refused(tmp_path, net):
+    header = (
+        b'{"T": 1000, "beta_end": 0.02, "beta_start": 0.0001, "d": 3, "hidden": [16, 16], '
+        b'"m": 8, "param_shapes": [[11, 16], [16], [16, 16], [16], [16, 3], [3]], "seed": 7}'
+    )
+    params = b"".join(p.astype("<f8").tobytes() for p in net.params)
+    path = tmp_path / "net.bin"
+    path.write_bytes(
+        CHECKPOINT_MAGIC + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little")
+        + header + params
+    )
+    with pytest.raises(CheckpointVersionError, match="format version 1, expected 2"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("hidden", "128,128", "truncated parameter data"),
+        ("hidden", "16", "trailing bytes"),
+        ("hidden", "", "trailing bytes"),
+        ("d", "2", "trailing bytes"),
+        ("m", "10", "truncated parameter data"),
+    ],
+)
+def test_checkpoint_shapes_disagreeing_with_header_are_corrupt(
+    tmp_path, net, schedule, key, value, message
+):
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    rewrite_header(path, set_value(key, value))
+    with pytest.raises(CorruptCheckpointError, match=message):
         load_checkpoint(path, schedule)
 
 
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("d", 3.0),
-        ("d", True),
-        ("d", 0),
-        ("m", 8.0),
-        ("m", 7),
-        ("m", 0),
-        ("T", 1000.0),
-        ("T", 0),
+        ("d", "3.0"),
+        ("d", "True"),
+        ("d", "0"),
+        ("m", "8.0"),
+        ("m", "7"),
+        ("m", "0"),
+        ("T", "1000.0"),
+        ("T", "0"),
         ("seed", "x"),
-        ("seed", 7.0),
-        ("hidden", [16.0, 16]),
-        ("hidden", [16, True]),
-        ("hidden", 16),
-        ("beta_start", "0.0001"),
-        ("beta_end", None),
-        ("beta_end", float("nan")),
+        ("seed", "7.0"),
+        ("hidden", "16.0,16"),
+        ("hidden", "16,True"),
+        ("hidden", "16,,16"),
+        ("beta_start", "0.0001x"),
+        ("beta_end", "None"),
+        ("beta_end", "nan"),
+        ("beta_start", "-inf"),
+        ("d", str(2**70)),
+        ("seed", "9" * 5000),
     ],
 )
-def test_checkpoint_mistyped_header_is_corrupt(tmp_path, net, key, value):
+def test_checkpoint_bad_header_value_is_corrupt(tmp_path, net, key, value):
     path = tmp_path / "net.bin"
     save_checkpoint(net, path)
-    rewrite_header(path, lambda header: {**header, key: value})
-    with pytest.raises(CorruptCheckpointError, match=f"{key} must"):
+    rewrite_header(path, set_value(key, value))
+    with pytest.raises(CorruptCheckpointError, match=rf"bad header \({key}\b"):
         load_checkpoint(path)
 
 
-def test_checkpoint_header_must_be_an_object(tmp_path, net):
+@pytest.mark.parametrize("key", HEADER_KEYS)
+def test_checkpoint_header_missing_a_key_is_corrupt(tmp_path, net, key):
     path = tmp_path / "net.bin"
     save_checkpoint(net, path)
-    rewrite_header(path, lambda header: sorted(header.items()))
-    with pytest.raises(CorruptCheckpointError, match="JSON object"):
+    rewrite_header(path, lambda header: re.sub(rf"(?m)^{key}=.*\n".encode(), b"", header))
+    with pytest.raises(CorruptCheckpointError, match=f"header has no '{key}' entry"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"[" * 200_000, "expected key=value"),  # deep enough to overflow a recursive parser
+        (b"d=3\nhidden=16,\xff16\n", "can't decode"),
+        (b"d=3\nhidden 16,16\n", "header:2: expected key=value, got 'hidden 16,16'"),
+    ],
+    ids=["brackets", "not-utf8", "no-equals"],
+)
+def test_checkpoint_header_that_is_not_key_value_text_is_corrupt(tmp_path, net, header, message):
+    path = tmp_path / "net.bin"
+    save_checkpoint(net, path)
+    rewrite_header(path, lambda _: header)
+    with pytest.raises(CorruptCheckpointError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
+_WIDTHS = st.lists(st.integers(1, 5), max_size=3).map(tuple)
+_BETAS = st.floats(allow_nan=False, allow_infinity=False)
+_SPECS = st.builds(
+    NetSpec, d=st.integers(1, 4), hidden=_WIDTHS, m=st.integers(1, 4).map(lambda k: 2 * k),
+    T=st.integers(1, 2000), beta_start=_BETAS, beta_end=_BETAS, seed=st.integers(0, 2**64 - 1),
+)
+# strings a hand-edited or corrupted header value might hold
+_ADVERSARIAL = ["", "1.0", "True", "nan", "inf", "-1", "0", "7", str(2**70), "9" * 5000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPECS, seed=st.integers(0, 2**32 - 1), key=st.sampled_from(HEADER_KEYS),
+       value=st.sampled_from(_ADVERSARIAL))
+def test_checkpoint_round_trips_and_refuses_a_bad_value_as_corrupt(spec, seed, key, value):
+    rng = np.random.default_rng(seed)
+    shapes = [s for pair in NoisePredictor.layer_shapes(spec) for s in pair]
+    bits = [rng.integers(0, 2**64, size=s, dtype=np.uint64) for s in shapes]
+    params = [np.where(np.isfinite(b.view("<f8")), b.view("<f8"), 0.5) for b in bits]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.bin"), Path(tmp, "b.bin")
+        save_checkpoint(NoisePredictor(spec, params), first)
+        loaded = load_checkpoint(first)
+        assert loaded.spec == spec
+        for a, b in zip(loaded.params, params):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+        rewrite_header(first, set_value(key, value))
+        try:
+            load_checkpoint(first)
+        except CorruptCheckpointError:
+            pass
 
 
 def test_loaded_parameters_own_aligned_memory(tmp_path, net, schedule):
