@@ -30,6 +30,7 @@ from .data import (
     gen_blobs,
     gen_toy,
     load_dataset,
+    quote,
     read_key_values,
     save_dataset,
     write_key_values,
@@ -140,9 +141,6 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
         batch_size=cfg.batch_size,
         lr=cfg.lr,
         weight_decay=cfg.weight_decay,
-        beta1=cfg.adam_beta1,
-        beta2=cfg.adam_beta2,
-        eps=cfg.adam_eps,
         seed=cfg.seed,
     )
 
@@ -262,7 +260,7 @@ def cmd_gen(cfg: RunConfig) -> None:
             upsample_to=(cfg.up_height, cfg.up_width),
         )
     else:
-        raise ConfigError(f"gen needs data=toy or data=blobs, got {cfg.data!r}")
+        raise ConfigError(f"gen needs data=toy or data=blobs, got {quote(cfg.data)}")
     save_dataset(train_ds, os.path.join(cfg.out, "train"))
     save_dataset(test_ds, os.path.join(cfg.out, "test"))
     print(f"wrote {len(train_ds)} train / {len(test_ds)} test samples to {cfg.out}")
@@ -314,7 +312,7 @@ def _check_ids(path: str, ids: list) -> None:
             ok = False
         if not ok:
             raise DataError(
-                f"{path}: row {i + 1} has id {text!r}; "
+                f"{path}: row {i + 1} has id {quote(text)}; "
                 f"ids must be 0..{len(ids) - 1} in row order"
             )
 
@@ -344,10 +342,12 @@ def _read_scores_csv(path: str) -> np.ndarray:
     for i, row in enumerate(rows):
         if len(row) < needed:
             raise DataError(f"{path}: row {i + 1} has {len(row)} fields, needs {needed}")
-    try:
-        scores = np.array([float(row[s_col]) for row in rows])
-    except ValueError as exc:
-        raise DataError(f"{path}: bad score value ({exc})") from exc
+    scores = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        try:
+            scores[i] = float(row[s_col])
+        except ValueError as exc:
+            raise DataError(f"{path}: row {i + 1} has bad score value {quote(row[s_col])}") from exc
     if "id" in column:
         _check_ids(path, [row[id_col] for row in rows])
     if not np.all(np.isfinite(scores)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .data import parse_ints, read_key_values
+from .data import parse_ints, quote, read_key_values
 from .errors import ConfigError, DataError
 from .rng import SEED_LIMIT
 
@@ -26,7 +26,7 @@ def _parse_bool(value: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ConfigError(f"expected a boolean, got {quote(value)}")
 
 
 @dataclass
@@ -53,9 +53,6 @@ class RunConfig:
     batch_size: int = 256
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     # inference / scoring
     t_infer: int = 0  # 0 = per-command default (toy 250, feature maps 500)
@@ -84,9 +81,9 @@ class RunConfig:
 
     def set_key(self, key: str, raw: str) -> None:
         if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {quote(key)}")
         if "\n" in raw or "\r" in raw:  # it could not be written back as one manifest line
-            raise ConfigError(f"value for {key!r} holds a line break: {raw!r}")
+            raise ConfigError(f"value for {key!r} holds a line break: {quote(raw)}")
         current = getattr(self, key)
         try:
             if isinstance(current, bool):
@@ -104,9 +101,9 @@ class RunConfig:
         except ValueError as exc:
             if isinstance(current, tuple):
                 raise ConfigError(
-                    f"expected comma-separated integers with no empty entry, got {raw!r}"
+                    f"expected comma-separated integers with no empty entry, got {quote(raw)}"
                 ) from exc
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+            raise ConfigError(f"bad value for {key!r}: {quote(raw)}") from exc
         setattr(self, key, value)
 
     def items(self) -> list[tuple[str, str]]:

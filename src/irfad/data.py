@@ -63,7 +63,7 @@ class Dataset:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         if self.role not in ("train", "test"):
-            raise DataError(f"role must be 'train' or 'test', got {self.role!r}")
+            raise DataError(f"role must be 'train' or 'test', got {quote(self.role)}")
         if self.labels.shape != (self.samples.shape[0],):
             raise DataError("labels must be one per sample")
         if np.any(self.labels > ABNORMAL):
@@ -236,11 +236,20 @@ def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def quote(text: str) -> str:
+    """`repr` of `text` for an error message: its first 80 characters and
+    then `... (N characters)` when it is longer, so that a message stays
+    one short line whatever a file or command line holds."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80]!r}... ({len(text)} characters)"
+
+
 def parse_key_values(text: str, where: str) -> dict[str, str]:
     """The stripped `key=value` lines of `text`, split at line feeds only.
 
     Blank and `#` lines are skipped; any other line needs a key and `=`,
-    else DataError("<where>:<line>: expected key=value, got '<line>'").
+    else DataError("<where>:<line>: expected key=value, got <quote(line)>").
     A repeated key's last value wins. Configs, manifests and checkpoint
     headers all go through here.
     """
@@ -251,7 +260,7 @@ def parse_key_values(text: str, where: str) -> dict[str, str]:
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key:
-            raise DataError(f"{where}:{lineno}: expected key=value, got {line!r}")
+            raise DataError(f"{where}:{lineno}: expected key=value, got {quote(line)}")
         items[key] = value
     return items
 
@@ -277,7 +286,7 @@ def format_key_values(items, where: str | os.PathLike) -> bytes:
     lines = [f"{key}={value}" for key, value in items]
     for line in lines:
         if "\n" in line or "\r" in line:
-            raise DataError(f"{where}: line break in {line!r}")
+            raise DataError(f"{where}: line break in {quote(line)}")
     return "".join(f"{line}\n" for line in lines).encode("utf-8")
 
 
@@ -339,19 +348,26 @@ def _read_array(path: str, name: str, shape: tuple[int, ...], dtype) -> np.ndarr
 def load_dataset(path: str | os.PathLike) -> Dataset:
     path = os.fspath(path)
     manifest = read_key_values(os.path.join(path, "manifest"))
-    try:
-        if int(manifest["format_version"]) != _FORMAT_VERSION:
-            raise DataError(f"unsupported dataset format {manifest['format_version']}")
-        count = int(manifest["count"])
-        shape = parse_ints(manifest["shape"])
-        has_masks = manifest["has_masks"]
-        role = manifest["role"]
-        if has_masks == "true":
-            mask_shape = parse_ints(manifest["mask_shape"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"bad manifest in {path}: {exc}") from exc
-    if has_masks not in ("true", "false"):
-        raise DataError(f"bad manifest in {path}: has_masks={has_masks!r}")
+
+    def entry(key: str, parse=str):
+        """`parse` of the manifest's `key`; a missing or bad entry is a DataError."""
+        if key not in manifest:
+            raise DataError(f"bad manifest in {path}: no {key!r} entry")
+        try:
+            return parse(manifest[key])
+        except ValueError as exc:
+            raise DataError(f"bad manifest in {path}: {key}={quote(manifest[key])}") from exc
+
+    if entry("format_version", int) != _FORMAT_VERSION:
+        raise DataError(f"unsupported dataset format {quote(manifest['format_version'])}")
+    count = entry("count", int)
+    shape = entry("shape", parse_ints)
+    has_masks = entry("has_masks")
+    role = entry("role")
+    if has_masks == "true":
+        mask_shape = entry("mask_shape", parse_ints)
+    elif has_masks != "false":
+        raise DataError(f"bad manifest in {path}: has_masks={quote(has_masks)}")
 
     samples = _read_array(path, "samples.bin", (count, *shape), "<f8")
     if not np.all(np.isfinite(samples)):

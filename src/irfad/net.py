@@ -5,7 +5,8 @@ noise vector of the same dimension as x. The step enters through a fixed
 sinusoidal embedding concatenated to x; since the embedding carries no
 parameters, the concatenation happens outside the autodiff graph.
 
-Inference has one entry point, `predict_noise`. Every row of a call shares
+Inference has one entry point, `predict_noise`, which takes (n, d) rows
+only; one sample is one row. Every row of a call shares
 one step t, so layer 0's product with the embedding columns is the same
 for all rows: it is folded into the layer-0 bias once per (net, t), and the
 kernel multiplies x by the first d rows of W0 only.
@@ -241,22 +242,20 @@ def predict_noise(
 ) -> np.ndarray:
     """Evaluate the noise predictor at (x, t): the one inference path.
 
-    x may be a single vector of length d or a batch (n, d); t is one
-    integer step in [1, T] shared by every row. Input is checked here and
-    nowhere else on the way to the kernel. Pure function of
-    (parameters, x, t).
+    x holds (n, d) rows, one sample each (`irf_mean` and `irf_noisy` turn
+    one sample into one row); t is one integer step in [1, T] shared by
+    every row. Input is checked here and nowhere else on the way to the
+    kernel. Pure function of (parameters, x, t).
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.ndim != 2 or xb.shape[1] != net.spec.d:
-        raise ShapeError(f"input shape {x.shape} incompatible with d={net.spec.d}")
-    if not np.isfinite(xb).all():
+    if x.ndim != 2 or x.shape[1] != net.spec.d:
+        raise ShapeError(f"input shape {x.shape} is not (n, d={net.spec.d}) rows")
+    if not np.isfinite(x).all():
         raise NumericError("non-finite network input")
-    out = net.forward_features(xb, bias0=net.folded_bias(t))
+    out = net.forward_features(x, bias0=net.folded_bias(t))
     if counter is not None:
-        counter.add(xb.shape[0])
-    return out[0] if single else out
+        counter.add(len(x))
+    return out
 
 
 # -- checkpoint container -------------------------------------------------
@@ -339,7 +338,7 @@ def load_checkpoint(
         if size < 12 + hlen:
             raise CorruptCheckpointError(f"{path}: truncated header")
         try:  # ValueError covers ParameterError and UnicodeDecodeError
-            spec = _header_spec(fh.read(hlen).decode("utf-8"), f"{path} header")
+            spec = _header_spec(fh.read(hlen).decode("utf-8"), "header")
         except KeyError as exc:
             raise CorruptCheckpointError(f"{path}: header has no {exc} entry") from exc
         except (ValueError, DataError) as exc:

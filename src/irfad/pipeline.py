@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .data import Dataset
+from .data import Dataset, quote
 from .errors import NumericError, ParameterError
 from .metrics import EvalReport, aupro, auroc, average_precision, f1_max, shared_ranking
 from .irf import irf_mean, irf_noisy
@@ -171,7 +171,7 @@ class Scorer:
         ddim_steps: int = baselines.DEFAULT_DDIM_STEPS,
     ):
         if kind not in SCORER_KINDS:
-            raise ParameterError(f"unknown scorer {kind!r}, expected one of {SCORER_KINDS}")
+            raise ParameterError(f"unknown scorer {quote(kind)}, expected one of {SCORER_KINDS}")
         if batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
         self.kind = kind

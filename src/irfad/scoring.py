@@ -12,6 +12,11 @@ corners, so target pixel (I, J) reads the source at
 (I*(h-1)/(H-1), J*(w-1)/(W-1)) and degenerate axes (h == 1) are constant.
 Interpolated values stay inside the input extrema up to rounding (about
 3 * eps * max|a|; see README).
+
+Every kernel works on the trailing axes: a field is the last three
+(c, h, w) axes and a map the last two (h, w), so one sample and an
+(n, ...) stack take the same code path and each row of a stack gets the
+bits its sample gets alone.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ def _axis_coords(size_in: int, size_out: int):
 
 
 def bilinear_upsample(a: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Corner-aligned bilinear upsample of (h, w) or (n, h, w) maps.
+    """Corner-aligned bilinear upsample of an (h, w) map or an (n, h, w) stack.
 
-    Two blends: along the width into (n, h, W) rows, then along the
+    Two blends: along the width into (..., h, W) rows, then along the
     height. Each blend gathers both neighbours of every output in one
     `take`, scales them by (1-wt, wt) in place and adds the two halves.
     Each output is (1-wy)*top + wy*bot with top and bot the width blends of
@@ -52,24 +57,20 @@ def bilinear_upsample(a: np.ndarray, H: int, W: int) -> np.ndarray:
     four-corner gather, so the bits do not depend on the split.
     """
     a = np.asarray(a, dtype=np.float64)
-    squeeze = a.ndim == 2
-    if squeeze:
-        a = a[None]
-    if a.ndim != 3:
+    if a.ndim not in (2, 3):
         raise ShapeError(f"expected (h, w) or (n, h, w) map, got shape {a.shape}")
-    h, w = a.shape[1], a.shape[2]
+    h, w = a.shape[-2:]
     if H < h or W < w or H < 1 or W < 1:
         raise ParameterError(f"target ({H}, {W}) must be >= source ({h}, {w})")
 
     index, weight = _axis_coords(w, W)
-    rows = a.take(index, axis=2)
+    rows = a.take(index, axis=-1)
     rows *= weight
     rows = rows[..., :W] + rows[..., W:]
     index, weight = _axis_coords(h, H)
-    out = rows.take(index, axis=1)
+    out = rows.take(index, axis=-2)
     out *= weight[:, None]
-    out = out[:, :H] + out[:, H:]
-    return out[0] if squeeze else out
+    return out[..., :H, :] + out[..., H:, :]
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,12 @@ def _check_field(delta: np.ndarray) -> np.ndarray:
 
 
 def _channel_norm(squares: np.ndarray) -> np.ndarray:
-    """sqrt of the channel sum of (n, c, h, w) squared entries -> (n, h, w)."""
-    return np.sqrt(squares.sum(axis=1))
+    """sqrt of the channel sum of (..., c, h, w) squared entries -> (..., h, w)."""
+    return np.sqrt(squares.sum(axis=-3))
 
 
 def feature_scale_maps(fields: np.ndarray) -> np.ndarray:
-    """Channel-wise L2 norm at each location: (n, c, h, w) -> (n, h, w)."""
+    """Channel-wise L2 norm at each location: (..., c, h, w) -> (..., h, w)."""
     return _channel_norm(fields * fields)
 
 
@@ -112,7 +113,7 @@ def score_map(delta: np.ndarray, target: tuple[int, int]) -> ScoreMap:
     delta = _check_field(delta)
     c, h, w = delta.shape
     H, W = target
-    fmap = feature_scale_maps(delta[None])[0]
+    fmap = feature_scale_maps(delta)
     return ScoreMap(
         feature_scale=fmap,
         full_scale=bilinear_upsample(fmap, H, W),
@@ -128,13 +129,13 @@ def image_score(delta: np.ndarray) -> ImageScore:
     0.5 * sum(delta^2) (the constant (c*h*w/2)*log(2*pi) is dropped so the
     score is non-negative and zero for a zero field).
     """
-    s_diff, s_nll = image_scores(_check_field(delta)[None])
-    s_diff, s_nll = float(s_diff[0]), float(s_nll[0])
+    s_diff, s_nll = map(float, image_scores(_check_field(delta)))
     return ImageScore(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll)
 
 
 def image_scores(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-field (s_diff, s_nll) of an (n, c, h, w) stack; see image_score.
+    """Per-field (s_diff, s_nll) of a (c, h, w) field or an (n, c, h, w)
+    stack, of shape () or (n,); see image_score.
 
     Each field's parts depend on that field alone, bit for bit, so a
     batched table and per-sample scores agree exactly. The fields are
@@ -142,6 +143,6 @@ def image_scores(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     squares = fields * fields
     fmaps = _channel_norm(squares)
-    s_diff = fmaps.max(axis=(1, 2)) - fmaps.min(axis=(1, 2))
-    s_nll = 0.5 * squares.reshape(len(fields), -1).sum(axis=1)
+    s_diff = fmaps.max(axis=(-2, -1)) - fmaps.min(axis=(-2, -1))
+    s_nll = 0.5 * squares.reshape(squares.shape[:-3] + (-1,)).sum(axis=-1)
     return s_diff, s_nll

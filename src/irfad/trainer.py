@@ -3,8 +3,11 @@
 Each step draws a batch of clean samples, a per-sample step index t
 uniform on {1..T} and per-sample Gaussian noise, forms the noisy state
 with the closed-form forward marginal, and regresses the network output
-onto the injected noise under mean squared error. Updates use AdamW:
-bias-corrected first/second moments, then decoupled weight decay.
+onto the injected noise under mean squared error. Updates use AdamW
+(Loshchilov & Hutter, 2019): bias-corrected first/second moments, then
+decoupled weight decay. The moment decay rates and the denominator's
+epsilon are AdamW's usual defaults, fixed as the constants ADAM_BETA1,
+ADAM_BETA2 and ADAM_EPS; the learning rate and weight decay are settable.
 
 With a fixed seed the run is bitwise reproducible: all draws come from a
 single counter-based stream in a documented order (per epoch: one
@@ -25,6 +28,10 @@ from .net import NoisePredictor, time_embedding
 from .rng import make_rng
 from .schedule import NoiseSchedule, q_sample
 
+ADAM_BETA1 = 0.9  # first-moment decay rate
+ADAM_BETA2 = 0.999  # second-moment decay rate
+ADAM_EPS = 1e-8  # added to sqrt(v_hat) in the update's denominator
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -38,9 +45,6 @@ class TrainConfig:
     batch_size: int = 256
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -52,10 +56,6 @@ class TrainConfig:
             raise ParameterError(
                 f"weight decay must be finite and >= 0, got {self.weight_decay}"
             )
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ParameterError(f"Adam eps must be finite and > 0, got {self.eps}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ParameterError("moment decay rates must lie in (0, 1)")
 
 
 @dataclass
@@ -86,22 +86,22 @@ def optimizer_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[list[np.ndarray], AdamState]:
-    """One AdamW update, in place on `params` and `state`."""
+    """One AdamW update with the ADAM_* constants, in place on `params` and `state`."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params/grads/state length mismatch")
     state.step += 1
-    bc1 = 1.0 - cfg.beta1 ** state.step
-    bc2 = 1.0 - cfg.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.shape}")
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p -= cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps))
+        p -= cfg.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         p -= cfg.lr * cfg.weight_decay * p
     return params, state
 

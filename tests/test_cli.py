@@ -278,12 +278,15 @@ def test_flags_before_the_command_run_it(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path):
-    for key in ("no_such_key", "normalize_scores"):
+    # normalize_scores and adam_beta1 are retired keys; AdamW's moment rates
+    # and eps are trainer constants
+    for key in ("no_such_key", "normalize_scores", "adam_beta1"):
         cfg = write_config(tmp_path / "bad.cfg", **{key: "5"})
         res = run_cli("gen", "--config", cfg, "--out", str(tmp_path / "o"))
         assert res.returncode == 2
-        assert res.stderr.startswith("irfad: error: config: unknown config key")
+        assert res.stderr.startswith(f"irfad: error: config: unknown config key '{key}'")
         assert len(res.stderr.strip().splitlines()) == 1
+        assert not (tmp_path / "o" / "manifest").exists()
 
 
 def _insert_line(path, index, line):
@@ -717,6 +720,49 @@ def test_score_with_a_header_that_is_not_key_value_text_exits_3(header, tiny_blo
     assert res.returncode == 3, res.stderr
     assert_one_error_line(res, "data")
     assert not (out / "manifest").exists()
+
+
+def assert_one_short_error_line(res, kind):
+    """One `irfad: error:` line, under 300 bytes however long the input was."""
+    assert_one_error_line(res, kind)
+    assert len(res.stderr.encode()) < 300, res.stderr[:400]
+
+
+def test_score_quotes_a_cut_of_a_long_header_line(tiny_blob_run, tmp_path):
+    root, *_ = tiny_blob_run
+    raw = (root / "run" / "checkpoint.bin").read_bytes()
+    (tmp_path / "bad.bin").write_bytes(_with_header(raw, b"[" * 200_000))
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(root / "data" / "test"), checkpoint=str(tmp_path / "bad.bin")
+    )
+    res = run_cli("score", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr[:400]
+    assert_one_short_error_line(res, "data")
+    assert f"got {'[' * 80!r}... (200000 characters)" in res.stderr
+
+
+def test_config_error_quotes_a_cut_of_a_long_value(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", lr="x" * 10_000)
+    res = run_cli("gen", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 2, res.stderr[:400]
+    assert_one_short_error_line(res, "config")
+    assert f"bad value for 'lr': {'x' * 80!r}... (10000 characters)" in res.stderr
+
+
+def test_eval_quotes_a_cut_of_a_long_score_cell(tmp_path):
+    _, test = gen_toy(0)
+    split = Dataset(samples=test.samples[:4], labels=test.labels[:4], masks=None)
+    save_dataset(split, tmp_path / "ds")
+    rows = ["id,s", "0,0.5", "1," + "x" * 10_000, "2,0.5", "3,0.5"]
+    (tmp_path / "scores.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(tmp_path / "ds"), scores_csv=str(tmp_path / "scores.csv")
+    )
+    res = run_cli("eval", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr[:400]
+    assert_one_short_error_line(res, "data")
+    assert "row 2 has bad score value 'xxx" in res.stderr
+    assert not (tmp_path / "o" / "manifest").exists()
 
 
 def test_cli_import_loads_no_json():

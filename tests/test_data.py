@@ -16,6 +16,7 @@ from irfad.data import (
     gen_blobs,
     gen_toy,
     load_dataset,
+    quote,
     read_key_values,
     save_dataset,
     write_key_values,
@@ -218,6 +219,26 @@ def test_key_values_refuse_a_line_without_key_and_equals(line, tmp_path):
     path.write_text(f"a=1\n\n{line}\nb=2\n")
     with pytest.raises(DataError, match=f"kv:3: expected key=value, got {line.strip()!r}"):
         read_key_values(path)
+
+
+def test_quote_cuts_long_text_to_its_first_80_characters():
+    for text in ("", "a'b\n", "x" * 80):
+        assert quote(text) == repr(text)
+    assert quote("y" * 81) == f"{'y' * 80!r}... (81 characters)"
+    with pytest.raises(DataError, match=r"kv:1: expected key=value, got '\[{80}'\.\.\. \(5000 "):
+        data.parse_key_values("[" * 5000, "kv")
+
+
+@pytest.mark.parametrize("key", ["count", "has_masks", "role", "format_version"])
+def test_a_long_manifest_value_is_quoted_cut(key, tmp_path):
+    save_dataset(gen_toy(0)[0], tmp_path / "split")
+    manifest = read_key_values(tmp_path / "split" / "manifest")
+    manifest[key] = "9" * 4000 if key == "format_version" else "z" * 4000
+    write_key_values(tmp_path / "split" / "manifest", manifest.items())
+    with pytest.raises(DataError) as excinfo:
+        load_dataset(tmp_path / "split")
+    assert "... (4000 characters)" in str(excinfo.value)
+    assert len(str(excinfo.value)) < 300
 
 
 def test_key_values_unreadable_file_is_data_error(tmp_path):

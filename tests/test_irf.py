@@ -86,7 +86,7 @@ def test_delta_matches_predict_on_mean_path(setup):
     x0 = make_rng(9, "test-irf-eq").standard_normal(3)
     res = irf_mean(net, schedule, x0, 33)
     assert np.array_equal(
-        res.delta, predict_noise(net, mean_path(schedule, x0, 33), 33)
+        res.delta, predict_noise(net, mean_path(schedule, x0[None], 33), 33)[0]
     )
 
 

@@ -53,13 +53,13 @@ def randomized(net):
 def test_fresh_net_predicts_zero(net):
     rng = make_rng(0, "test-zero")
     for t in (1, 500, 1000):
-        x = rng.standard_normal(3)
-        assert np.array_equal(predict_noise(net, x, t), np.zeros(3))
+        x = rng.standard_normal((1, 3))
+        assert np.array_equal(predict_noise(net, x, t), np.zeros((1, 3)))
 
 
 def test_predict_deterministic(net):
     rnet = randomized(net)
-    x = make_rng(1, "test-det").standard_normal(3)
+    x = make_rng(1, "test-det").standard_normal((1, 3))
     assert np.array_equal(predict_noise(rnet, x, 42), predict_noise(rnet, x, 42))
 
 
@@ -77,7 +77,7 @@ def test_predict_batched_matches_single(n, d, t, seed):
     batched = predict_noise(net, xs, t)
     assert batched.shape == (n, d)
     for i in range(n):
-        assert np.allclose(batched[i], predict_noise(net, xs[i], t),
+        assert np.allclose(batched[i], predict_noise(net, xs[i : i + 1], t)[0],
                            rtol=1e-12, atol=1e-14)
 
 
@@ -112,7 +112,7 @@ def test_d1_layer0_broadcast_matches_the_matmul(n, hidden, scale, t, seed):
 
 def test_counter_counts_rows(net):
     counter = EvalCounter()
-    predict_noise(net, np.zeros(3), 1, counter)
+    predict_noise(net, np.zeros((1, 3)), 1, counter)
     predict_noise(net, np.zeros((4, 3)), 1, counter)
     assert counter.count == 5
 
@@ -122,15 +122,21 @@ def test_dim_mismatch(net):
         predict_noise(net, np.zeros(4), 1)
 
 
+def test_one_vector_is_not_rows(net):
+    # one sample is one (1, d) row; irf_mean and irf_noisy reshape it so
+    with pytest.raises(ShapeError, match=r"not \(n, d=3\) rows"):
+        predict_noise(net, np.zeros(3), 1)
+
+
 def test_t_out_of_range(net):
     with pytest.raises(ParameterError):
-        predict_noise(net, np.zeros(3), 0)
+        predict_noise(net, np.zeros((1, 3)), 0)
     with pytest.raises(ParameterError):
-        predict_noise(net, np.zeros(3), 1001)
+        predict_noise(net, np.zeros((1, 3)), 1001)
     with pytest.raises(ParameterError):
-        predict_noise(net, np.zeros(3), 2.5)
+        predict_noise(net, np.zeros((1, 3)), 2.5)
     with pytest.raises(ParameterError):
-        predict_noise(net, np.zeros(3), True)
+        predict_noise(net, np.zeros((1, 3)), True)
 
 
 def tape_forward(net, x, t):
@@ -180,10 +186,10 @@ def test_silu_saturates_to_zero_without_warning(schedule):
                   np.ones((1, 1)), np.zeros(1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = predict_noise(net, np.ones(1), 1)
+        out = predict_noise(net, np.ones((1, 1)), 1)
         # the kernel itself, as the benchmark's wrapper calls it
         direct = net.forward_features(np.ones((1, 1)), bias0=net.folded_bias(1))
-    assert out[0] == 0.0
+    assert out[0, 0] == 0.0
     assert direct.tolist() == [[0.0]]
 
 
@@ -243,7 +249,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, net, schedule):
     assert loaded.spec == rnet.spec
     for a, b in zip(loaded.params, rnet.params):
         assert np.array_equal(a, b)
-    x = make_rng(4, "test-ckpt").standard_normal(3)
+    x = make_rng(4, "test-ckpt").standard_normal((1, 3))
     assert np.array_equal(predict_noise(loaded, x, 9), predict_noise(rnet, x, 9))
 
 

@@ -43,8 +43,11 @@ def setup():
 
 def test_unknown_scorer_rejected(setup):
     schedule, net, _ = setup
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown scorer 'nope'"):
         Scorer("nope", net, schedule, t_infer=10)
+    # a config file's text is quoted cut to its first 80 characters
+    with pytest.raises(ParameterError, match=r"'q{80}'\.\.\. \(10000 characters\)"):
+        Scorer("q" * 10_000, net, schedule, t_infer=10)
 
 
 @pytest.mark.parametrize("kind", [IRF_MEAN, DDIM])

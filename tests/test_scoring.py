@@ -9,6 +9,7 @@ from irfad.rng import make_rng
 from irfad.scoring import (
     _axis_coords,
     bilinear_upsample,
+    feature_scale_maps,
     image_score,
     image_scores,
     score_map,
@@ -106,19 +107,31 @@ def test_image_scores_equal_the_two_pass_oracle(data):
     n = data.draw(st.integers(1, 3), label="n")
     c = data.draw(st.integers(1, 5), label="c")
     # (d, 1, 1) is how a vector sample's field is scored
-    h, w = data.draw(st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 4)]), label="h, w")
+    h = data.draw(st.integers(1, 5), label="h")
+    w = data.draw(st.integers(1, 5), label="w")
+    H = h + data.draw(st.integers(0, 12), label="H - h")
+    W = w + data.draw(st.integers(0, 12), label="W - w")
     entries = st.lists(_ENTRY, min_size=n * c * h * w, max_size=n * c * h * w)
     fields = np.array(data.draw(entries, label="entries")).reshape(n, c, h, w)
     fmaps, s_diff, s_nll = image_scores_two_pass(fields)
     got_diff, got_nll = image_scores(fields)
     assert got_diff.tobytes() == s_diff.tobytes()
     assert got_nll.tobytes() == s_nll.tobytes()
+    assert feature_scale_maps(fields).tobytes() == fmaps.tobytes()
+    # one sample takes the stack's code path: row i of each batched kernel,
+    # bit for bit
+    full = bilinear_upsample(fmaps, H, W)
+    maps = fields[:, 0]  # any (n, h, w) stack, signs and subnormals included
+    up = bilinear_upsample(maps, H, W)
     for i in range(n):
         one = image_score(fields[i])
         assert np.array([one.s_diff, one.s_nll, one.s]).tobytes() == np.array(
-            [s_diff[i], s_nll[i], s_diff[i] + s_nll[i]]
+            [got_diff[i], got_nll[i], got_diff[i] + got_nll[i]]
         ).tobytes()
-        assert score_map(fields[i], (h, w)).feature_scale.tobytes() == fmaps[i].tobytes()
+        sm = score_map(fields[i], (H, W))
+        assert sm.feature_scale.tobytes() == fmaps[i].tobytes()
+        assert sm.full_scale.tobytes() == full[i].tobytes()
+        assert bilinear_upsample(maps[i], H, W).tobytes() == up[i].tobytes()
 
 
 def test_cached_axis_coords_are_read_only():

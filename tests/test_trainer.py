@@ -5,7 +5,7 @@ from irfad.errors import ParameterError, ShapeError, TrainingDivergedError
 from irfad.net import NoisePredictor
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
-from irfad.trainer import AdamState, TrainConfig, optimizer_step, train
+from irfad.trainer import ADAM_EPS, AdamState, TrainConfig, optimizer_step, train
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def test_single_step_normalized_direction():
     optimizer_step(params, [g.copy()], AdamState.zeros_like(params), cfg)
     m_hat = g
     v_hat = g * g
-    expected = -cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps))
+    expected = -cfg.lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     assert np.array_equal(params[0], expected)
 
 
@@ -128,10 +128,6 @@ def test_dim_mismatch_and_empty_dataset(schedule):
         {"weight_decay": float("nan")},
         {"weight_decay": float("inf")},
         {"weight_decay": -1.0},
-        {"eps": 0.0},
-        {"eps": -1e-8},
-        {"eps": float("nan")},
-        {"eps": float("inf")},
     ],
 )
 def test_bad_optimizer_settings_rejected(bad):
