@@ -84,10 +84,16 @@ class Tape:
         with np.errstate(over="ignore"):
             d = silu_denominator(x)
         out = x / d
-        sig = 1.0 / d
+        sig = np.divide(1.0, d, out=d)
 
         def backward(g):
-            return (g * (sig * (1.0 + x * (1.0 - sig))),)
+            # g * (sig * (1 + x * (1 - sig))) in one array; each step commutes
+            t = np.subtract(1.0, sig)
+            t *= x
+            t += 1.0
+            t *= sig
+            t *= g
+            return (t,)
 
         return self._record(out, (a,), backward)
 
@@ -103,7 +109,9 @@ class Tape:
             gx = g @ wv.T if x.needs_grad else None
             return (gx, xv.T @ g, g.sum(axis=0))
 
-        return self._record(xv @ wv + bv, (x, w, b), backward)
+        out = xv @ wv
+        out += bv
+        return self._record(out, (x, w, b), backward)
 
     def mean_squared_error(self, a: Node, b: Node) -> Node:
         """Mean over all entries of (a - b)^2; the regression loss."""

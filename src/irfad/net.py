@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write, format_key_values, parse_ints, parse_key_values
+from .data import atomic_write, format_key_values, parse_ints, parse_key_values, quote
 from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -297,14 +297,15 @@ def save_checkpoint(net: NoisePredictor, path: str | os.PathLike) -> None:
 
 def _header_spec(text: str, where: str) -> NetSpec:
     """The NetSpec a checkpoint header records. A missing key is a KeyError,
-    a bad value a ValueError or ParameterError naming its key."""
+    a bad value a ValueError or ParameterError naming its key (a value that
+    does not parse is quoted through `data.quote`)."""
     header = parse_key_values(text, where)
     fields = {}
     for key, parse in _HEADER.items():
         try:
             fields[key] = parse(header[key])
         except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
+            raise ValueError(f"{key}: cannot parse {quote(header[key])}") from exc
     return NetSpec(**fields)
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by brute force (pair counting,
 exhaustive threshold sweeps, central finite differences, flood fill,
 row-at-a-time `csv.writer` tables) or by a former, frozen version of the
-library's code (the argsort ranking sweep, the per-sample blob generator),
-and deliberately avoids the library's current code paths.
+library's code (the argsort ranking sweep, the per-sample blob generator,
+whole-array AdamW), and deliberately avoids the library's current code
+paths.
 """
 
 import csv
@@ -311,6 +312,27 @@ def trainlog_csv_rows(losses, seconds) -> bytes:
         for epoch, (loss, secs) in enumerate(zip(losses, seconds))
     ]
     return _csv_bytes(["epoch", "mean_loss", "seconds"], rows)
+
+
+# -- optimizer ----------------------------------------------------------------
+#
+# The library's former whole-array AdamW body, kept verbatim: each line
+# sweeps whole tensors and allocates its temporaries.
+
+
+def adamw_whole_array(params, grads, m, v, step, lr, weight_decay, beta1, beta2, eps):
+    """One AdamW update at 1-based `step`, in place on params, m and v."""
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * (g * g)
+        m_hat = mi / bc1
+        v_hat = vi / bc2
+        p -= lr * (m_hat / (np.sqrt(v_hat) + eps))
+        p -= lr * weight_decay * p
 
 
 # -- blob generator -----------------------------------------------------------

@@ -702,7 +702,26 @@ def test_score_with_float_header_field_exits_3(tiny_blob_run, tmp_path):
     res = run_cli("score", "--config", cfg, "--out", str(tmp_path / "o"))
     assert res.returncode == 3, res.stderr
     assert_one_error_line(res, "data")
-    assert "bad header (m: invalid literal for int()" in res.stderr
+    assert re.search(r"bad header \(m: cannot parse '\d+\.0'\)", res.stderr), res.stderr
+
+
+def test_score_with_a_10000_character_header_value_prints_one_short_line(
+    tiny_blob_run, tmp_path
+):
+    root, *_ = tiny_blob_run
+    raw = (root / "run" / "checkpoint.bin").read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = re.sub(rb"(?m)^beta_start=.*$", b"beta_start=" + b"x" * 10_000, raw[12 : 12 + hlen])
+    bad = tmp_path / "long-beta.bin"
+    bad.write_bytes(_with_header(raw, header))
+    cfg = write_config(
+        tmp_path / "c.cfg", data=str(root / "data" / "test"), checkpoint=str(bad)
+    )
+    res = run_cli("score", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 3, res.stderr
+    assert_one_error_line(res, "data")
+    assert len(res.stderr.encode("utf-8")) < 300, res.stderr
+    assert "beta_start: cannot parse 'xxx" in res.stderr
 
 
 @pytest.mark.parametrize(

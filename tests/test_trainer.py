@@ -1,11 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irfad.errors import ParameterError, ShapeError, TrainingDivergedError
 from irfad.net import NoisePredictor
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
-from irfad.trainer import ADAM_EPS, AdamState, TrainConfig, optimizer_step, train
+from irfad.trainer import (
+    _CHUNK,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    TrainConfig,
+    optimizer_step,
+    train,
+)
+
+from oracles import adamw_whole_array
 
 
 @pytest.fixture
@@ -55,6 +70,82 @@ def test_optimizer_shape_mismatch():
     params = [np.zeros(3)]
     with pytest.raises(ShapeError):
         optimizer_step(params, [np.zeros(4)], AdamState.zeros_like(params), cfg)
+
+
+def _laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """`values` in a fresh array that is C-ordered, a transpose or strided."""
+    if layout == "transposed":
+        return np.ascontiguousarray(values.T).T
+    if layout == "strided":
+        wide = np.zeros((values.shape[0] * 2, *values.shape[1:]))
+        wide[::2] = values
+        return wide[::2]
+    return values.copy()
+
+
+_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 3 * _CHUNK)),
+    # more rows than one slice holds, with a ragged last slice
+    st.integers(1, 300).flatmap(
+        lambda cols: st.tuples(
+            st.integers(_CHUNK // cols + 1, 3 * _CHUNK // cols + 1), st.just(cols)
+        )
+    ),
+    # one row longer than a slice: split along the trailing axis too
+    st.tuples(st.integers(1, 3), st.integers(_CHUNK + 1, 2 * _CHUNK + 7)),
+)
+_LAYOUTS = st.sampled_from(["contiguous", "transposed", "strided"])
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(_SHAPES, _LAYOUTS, _LAYOUTS), min_size=1, max_size=3),
+    steps=st.integers(1, 4),
+    lr=st.sampled_from([0.0, 1e-3, 0.05]),
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_step_matches_whole_array_adamw_bit_for_bit(
+    shapes, steps, lr, weight_decay, seed
+):
+    rng = np.random.default_rng(seed)
+    cfg = TrainConfig(lr=lr, weight_decay=weight_decay)
+    start = [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3) for shape, _, _ in shapes]
+    params = [_laid_out(p, layout) for p, (_, layout, _) in zip(start, shapes)]
+    state = AdamState.zeros_like(params)
+    expected = [p.copy() for p in start]
+    m = [np.zeros_like(p) for p in start]
+    v = [np.zeros_like(p) for p in start]
+    for step in range(1, steps + 1):
+        raw = [rng.standard_normal(p.shape) for p in start]
+        grads = [_laid_out(g, layout) for g, (_, _, layout) in zip(raw, shapes)]
+        optimizer_step(params, grads, state, cfg)
+        adamw_whole_array(expected, raw, m, v, step, lr, weight_decay,
+                          ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
+        for g, r in zip(grads, raw):
+            assert _bits(g) == _bits(r)  # the gradients are read only
+    assert state.step == steps
+    for got, want in zip(params + state.m + state.v, expected + m + v):
+        assert _bits(got) == _bits(want)
+
+
+def test_step_on_the_blob_net_allocates_two_slices_only():
+    net = NoisePredictor.create(256, (256, 256, 256), 64, linear_schedule(100), seed=0)
+    params = [p.copy() for p in net.params]
+    grads = [np.full_like(p, 0.5) for p in params]
+    state = AdamState.zeros_like(params)
+    optimizer_step(params, grads, state, TrainConfig())  # warm up
+    tracemalloc.start()
+    try:
+        optimizer_step(params, grads, state, TrainConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _CHUNK * 8 + 64 * 1024, peak
 
 
 # -- training loop ------------------------------------------------------------
