@@ -24,7 +24,7 @@ counter, when given, gains one evaluation per row per step.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -61,29 +61,31 @@ def reconstruct_batch(
     x0: np.ndarray,
     t_start: int,
     steps: int,
-    noise: Sequence[np.ndarray],
+    noise: Iterable[np.ndarray],
     counter: EvalCounter | None = None,
-    ready: Callable[[int], None] | None = None,
 ) -> np.ndarray:
     """Per-row mean squared reconstruction error of a (B, d) batch.
 
-    `noise` holds the chain's `steps` (B, d) slots in draw order (see
-    `draw_recon_noise`): noise[0] is the jump noise and noise[j] the noise
-    the j-th reverse step injects, j = 1 .. steps - 1, so the chain reads
-    its slots in the order they are drawn. `ready(j)`, when given, is
-    called before noise[j] is first read and returns once that slot has
-    been drawn, so the chain can start while later slots are still being
-    drawn on another thread; the scorer passes the wait on slot j's future
-    in its one-thread noise executor, which re-raises a failed draw.
+    `noise` yields the chain's `steps` (B, d) slots once, in draw order:
+    the jump noise, then the noise of reverse steps 1 .. steps - 1. Each
+    slot is taken just before it is read, so a generator may still be
+    drawing later ones. A missing or misshapen slot raises ShapeError
+    before the chain reads past it, a leftover slot after the last step.
     """
     t_start = check_step(t_start, schedule.T)
     x0 = _as_batch(net, x0)
     taus = substep_grid(t_start, steps)
-    if len(noise) != steps or any(np.shape(z) != x0.shape for z in noise):
-        raise ShapeError("noise does not match batch shape or step count")
-    if ready is not None:
-        ready(0)
-    xt = q_sample(schedule, x0, t_start, noise[0])
+    slots = iter(noise)
+
+    def slot(j: int) -> np.ndarray:
+        z = next(slots, None)
+        if z is None:
+            raise ShapeError(f"noise has {j} slots, the chain needs {steps}")
+        if np.shape(z) != x0.shape:
+            raise ShapeError(f"noise slot {j} has shape {np.shape(z)}, not the batch's {x0.shape}")
+        return z
+
+    xt = q_sample(schedule, x0, t_start, slot(0))
     for k in range(steps, 0, -1):
         t_hi, t_lo = int(taus[k]), int(taus[k - 1])
         abar_hi = schedule.alpha_bar(t_hi)
@@ -92,26 +94,10 @@ def reconstruct_batch(
         eps_hat = predict_noise(net, xt, t_hi, counter)
         xt = (xt - beta_eff / np.sqrt(1.0 - abar_hi) * eps_hat) / np.sqrt(1.0 - beta_eff)
         if k > 1:
-            j = steps - k + 1
-            if ready is not None:
-                ready(j)
-            xt = xt + np.sqrt(beta_eff) * noise[j]
+            xt = xt + np.sqrt(beta_eff) * slot(steps - k + 1)
+    if next(slots, None) is not None:
+        raise ShapeError(f"noise has more than the chain's {steps} slots")
     return np.mean((x0 - xt) ** 2, axis=1)
-
-
-def draw_recon_noise(rng: np.random.Generator, out: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-    """Fill a chain's `steps` (B, d) slots with standard normals, in place,
-    and return them; `out` may be a list of arrays or one (steps, B, d) array.
-
-    Draw order: the jump noise out[0] first, then one slot per noise-
-    injecting reverse step, out[1] .. out[steps - 1]. Filling the slots one
-    call at a time, in that order, draws the same bits: the scorer's noise
-    executor runs one task per slot, `draw_recon_noise(rng, [slot])`, while
-    the chain reads the slots already in.
-    """
-    for slot in out:
-        rng.standard_normal(out=slot)
-    return out
 
 
 def ddim_invert_batch(

@@ -1,7 +1,7 @@
 """Minimal reverse-mode differentiation over dense float64 arrays.
 
 Just enough autodiff to train the noise-prediction MLP: a tape is built
-per training step (define-by-run, so creation order is already a
+per training step (define-by-run, so creation order is a
 topological order), `backward` walks it once in reverse, and the only ops
 provided are the three the network needs: `affine`, `silu` and
 `mean_squared_error`. No broadcasting beyond the bias-add inside `affine`,

@@ -207,7 +207,7 @@ class NoisePredictor:
         """Inference forward of (n, d) rows, given layer 0's folded bias.
 
         Layer 0 reads the d input columns only; the step embedding's share
-        of the pre-activation is already in `bias0` (see `folded_bias`).
+        of the pre-activation is folded into `bias0` (see `folded_bias`).
         With d = 1 it is the broadcast product `x * W0[0]`: each entry is
         the one product the (n, 1) @ (1, h0) matmul forms, at half its cost.
         SiLU divides h in place by `silu_denominator(h)`, the helper the

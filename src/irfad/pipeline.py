@@ -14,19 +14,16 @@ BLAS's own threads; the others are the threads of one executor
 are independent and NumPy and BLAS release the GIL, so the threads share
 the cores without a change to any output bit or evaluation count.
 
-Both stochastic scorers draw their noise per batch, in batch order, into
-arrays the thread taking the batch allocates, so the bits are those of
-one thread scoring the batches in order and a thread holds one batch of
-noise at a time. The noise is drawn as the batch is taken, except in
-one case: a reconstruction call with one batch and more than one worker
-runs its chain on the calling thread alone, so a one-thread executor
-(`irfad-noise`) draws the chain's `steps` (rows, d) slots on the idle
-core, one task per slot in draw order, while the chain waits on each
-slot's future before it reads the slot. Leaving a call, by its end, a
-failure or an interrupt, cancels every task not yet started and joins
-every thread it started (`_threads`). Scoring a pass is deterministic
-for a given configuration: each call re-derives its noise stream from
-(seed, pass label).
+Both stochastic scorers draw their noise per batch, in batch order, as a
+thread takes the batch, so the bits are those of one thread scoring the
+batches in order. One case differs: a reconstruction call with one batch
+and more than one worker runs its chain on the calling thread alone, so
+`Executor.map` on a one-thread executor (`irfad-noise`) draws the chain's
+slots on the idle core, in draw order, while the chain reads them.
+Leaving a call, by its end, a failure or an interrupt, cancels every task
+not yet started and joins every thread it started (`_threads`). Each call
+re-derives its noise stream from (seed, pass label), so a pass is
+deterministic for a given configuration.
 
 Every call refuses non-finite scores with a NumericError before it
 returns, so no caller writes them.
@@ -137,24 +134,6 @@ def _threads(workers: int, name: str):
             raise interrupt
 
 
-@contextlib.contextmanager
-def _drawn_alongside(rng: np.random.Generator, slots: list):
-    """Draw a chain's noise slots in order on one `irfad-noise` thread while
-    the block runs; yields ready(k), which returns once slot k is in and
-    re-raises the failure of its draw, or of an earlier one, with its type."""
-    futures = []
-
-    def draw(k: int) -> None:
-        if k:
-            futures[k - 1].result()  # done already: one thread draws in slot order
-        baselines.draw_recon_noise(rng, [slots[k]])
-
-    with _threads(1, "irfad-noise") as pool:
-        for k in range(len(slots)):
-            futures.append(pool.submit(draw, k))
-        yield lambda k: futures[k].result()
-
-
 class Scorer:
     """One scoring rule over batches; callable as scorer(samples, counter)."""
 
@@ -183,6 +162,11 @@ class Scorer:
         self.recon_t_start = int(recon_t_start)
         self.recon_steps = int(recon_steps)
         self.ddim_steps = int(ddim_steps)
+        if kind == RECON:  # refuse bad steps before a call allocates noise
+            self.recon_t_start = check_step(recon_t_start, schedule.T)
+            baselines.substep_grid(self.recon_t_start, self.recon_steps)
+        elif kind == DDIM:
+            baselines.substep_grid(schedule.T, self.ddim_steps)
 
     def __call__(self, samples: np.ndarray, counter: EvalCounter | None = None) -> ScoreTable:
         samples = np.asarray(samples, dtype=np.float64)
@@ -223,7 +207,7 @@ class Scorer:
         the batch, and the noise is allocated by the thread that reads it. Each
         thread counts on its own EvalCounter, so the one-evaluation check in
         `irf` sees its own batch only; after the join `counter` gains the sum
-        by `count +=`, since each evaluation already passed through `add`
+        by `count +=`, since each evaluation has passed through `add`
         once. Started threads compute under the caller's floating-point error
         handling. The first failure stops the other threads from taking
         batches and is re-raised once every thread has been joined.
@@ -293,40 +277,37 @@ class Scorer:
     def _score_baseline(self, X, counter) -> ScoreTable:
         n, d = X.shape
         scores = np.empty(n)
-        draw = None
-        if self.kind == RECON:
-            rng = make_rng(self.noise_seed, "score-recon")
-            # one batch runs on the calling thread alone: draw its noise on
-            # an idle core while the chain runs, instead of before it
-            alongside = n <= self.batch_size and _workers() > 1
-
-            def draw(start, stop):
-                # one array per slot: with one (steps, rows, d) block the blob
-                # benchmark's peak RSS read 1-9 MiB above separate arrays'
-                slots = [np.empty((stop - start, d)) for _ in range(self.recon_steps)]
-                return slots if alongside else baselines.draw_recon_noise(rng, slots)
-
-            def score(start, stop, slots, own):
-                drawing = _drawn_alongside(rng, slots) if alongside else contextlib.nullcontext()
-                with drawing as ready:
-                    scores[start:stop] = baselines.reconstruct_batch(
-                        self.net,
-                        self.schedule,
-                        X[start:stop],
-                        self.recon_t_start,
-                        self.recon_steps,
-                        slots,
-                        own,
-                        ready,
-                    )
-        else:
+        if self.kind == DDIM:
 
             def score(start, stop, noise, own):
                 scores[start:stop] = baselines.ddim_invert_batch(
                     self.net, self.schedule, X[start:stop], self.ddim_steps, own
                 )
 
-        self._run_batches(n, score, counter, draw)
+            self._run_batches(n, score, counter)
+            return ScoreTable(s=scores)
+
+        rng = make_rng(self.noise_seed, "score-recon")
+
+        def fill(slot):
+            return rng.standard_normal(out=slot)
+
+        def draw(start, stop):
+            # one array per slot: with one (steps, rows, d) block the blob
+            # benchmark's peak RSS read 1-9 MiB above separate arrays'
+            slots = [np.empty((stop - start, d)) for _ in range(self.recon_steps)]
+            return list(map(fill, slots)) if pool is None else pool.map(fill, slots)
+
+        def score(start, stop, noise, own):
+            scores[start:stop] = baselines.reconstruct_batch(
+                self.net, self.schedule, X[start:stop], self.recon_t_start, self.recon_steps,
+                noise, own)
+
+        # one batch runs on the calling thread alone: draw its noise on an
+        # idle core while the chain runs, instead of before it
+        alongside = n <= self.batch_size and _workers() > 1
+        with _threads(1, "irfad-noise") if alongside else contextlib.nullcontext() as pool:
+            self._run_batches(n, score, counter, draw)
         return ScoreTable(s=scores)
 
 

@@ -2,10 +2,10 @@
 
 Everything here recomputes expected values by brute force (pair counting,
 exhaustive threshold sweeps, central finite differences, flood fill,
-row-at-a-time `csv.writer` tables) or by a former, frozen version of the
-library's code (the argsort ranking sweep, the per-sample blob generator,
-whole-array AdamW), and deliberately avoids the library's current code
-paths.
+row-at-a-time `csv.writer` tables), by closed-form Gaussian conditioning,
+or by a former, frozen version of the library's code (the argsort ranking
+sweep, the per-sample blob generator, whole-array AdamW), and deliberately
+avoids the library's current code paths.
 """
 
 import csv
@@ -333,6 +333,26 @@ def adamw_whole_array(params, grads, m, v, step, lr, weight_decay, beta1, beta2,
         v_hat = vi / bc2
         p -= lr * (m_hat / (np.sqrt(v_hat) + eps))
         p -= lr * weight_decay * p
+
+
+# -- Gaussian data -------------------------------------------------------------
+#
+# For x0 ~ N(mu, cov) and x_t = sqrt(abar) x0 + sqrt(1 - abar) eps, x_t and
+# eps are jointly Gaussian, so E[eps | x_t] is Gaussian conditioning: the
+# Bayes-optimal noise predictor, linear in x_t.
+
+
+def gaussian_eps_star(mu, cov, schedule, t: int, x_t) -> np.ndarray:
+    """E[eps | x_t] = sqrt(1-abar) (abar cov + (1-abar) I)^-1 (x_t - sqrt(abar) mu),
+    for one (d,) state or (n, d) rows."""
+    mu = np.asarray(mu, dtype=np.float64)
+    cov = np.asarray(cov, dtype=np.float64)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    abar = schedule.alpha_bar(t)
+    marginal = abar * cov + (1.0 - abar) * np.eye(mu.size)
+    centred = (x_t - np.sqrt(abar) * mu).reshape(-1, mu.size)
+    eps = np.sqrt(1.0 - abar) * np.linalg.solve(marginal, centred.T).T
+    return eps.reshape(x_t.shape)
 
 
 # -- blob generator -----------------------------------------------------------

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from irfad.baselines import (
-    ddim_invert_batch,
-    draw_recon_noise,
-    reconstruct_batch,
-    substep_grid,
-)
-from irfad.errors import ParameterError
+from irfad.baselines import ddim_invert_batch, reconstruct_batch, substep_grid
+from irfad.errors import ParameterError, ShapeError
 from irfad.net import EvalCounter, NoisePredictor
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
@@ -100,26 +95,60 @@ def test_recon_single_step_from_t1(schedule, zero_net):
     assert counter.count == 1
 
 
+def _slot_fills(seed, steps, shape):
+    """`steps` slots filled one draw at a time, in draw order."""
+    rng = make_rng(seed, "recon-stream")
+    return [rng.standard_normal(out=np.empty(shape)) for _ in range(steps)]
+
+
 def test_recon_deterministic_given_rng_seed(schedule, zero_net):
     x0 = np.ones((1, 4))
-    a = reconstruct_batch(
-        zero_net, schedule, x0, 300, 10,
-        draw_recon_noise(make_rng(3, "recon-stream"), np.empty((10,) + x0.shape)),
-    )
-    b = reconstruct_batch(
-        zero_net, schedule, x0, 300, 10,
-        draw_recon_noise(make_rng(3, "recon-stream"), np.empty((10,) + x0.shape)),
-    )
+    a = reconstruct_batch(zero_net, schedule, x0, 300, 10, _slot_fills(3, 10, x0.shape))
+    b = reconstruct_batch(zero_net, schedule, x0, 300, 10, _slot_fills(3, 10, x0.shape))
     assert a[0] == b[0]
+
+
+@pytest.fixture
+def random_net(schedule):
+    net = NoisePredictor.create(4, (8,), 4, schedule, seed=0)
+    rng = make_rng(0, "test-recon-net")
+    net.params = [rng.standard_normal(p.shape) * 0.3 for p in net.params]
+    return net
+
+
+def test_recon_noise_is_any_iterable_read_in_draw_order(schedule, random_net):
+    x0 = make_rng(5, "test-recon-rows").standard_normal((3, 4))
+    steps = 6
+    slots = _slot_fills(7, steps, x0.shape)
+    want = reconstruct_batch(random_net, schedule, x0, 300, steps, slots)
+    got = reconstruct_batch(random_net, schedule, x0, 300, steps, (z for z in slots))
+    assert got.tobytes() == want.tobytes()
+    # one (steps, B, d) draw, iterated, draws the bits of one fill per slot
+    block = make_rng(7, "recon-stream").standard_normal((steps,) + x0.shape)
+    assert block.tobytes() == np.stack(slots).tobytes()
+    got = reconstruct_batch(random_net, schedule, x0, 300, steps, block)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise, error, evaluations", [
+    (np.zeros((3, 2, 4)), "has 3 slots, the chain needs 5", 3),
+    ([np.zeros((2, 4))] * 2 + [np.zeros((1, 4))] * 3, "slot 2 has shape", 2),
+    ([np.zeros((2, 4))] * 4 + [np.zeros((2, 4, 1))], "slot 4 has shape", 4),
+    (np.zeros((6, 2, 4)), "more than the chain's 5 slots", 5),
+], ids=["short", "misshapen", "extra-axis", "long"])
+def test_recon_noise_of_the_wrong_length_or_shape(schedule, zero_net, noise, error, evaluations):
+    # slot j is read after j network evaluations: a missing or misshapen
+    # slot stops the chain there, a slot left over after the last step
+    counter = EvalCounter()
+    with pytest.raises(ShapeError, match=error):
+        reconstruct_batch(zero_net, schedule, np.ones((2, 4)), 500, 5, iter(noise), counter)
+    assert counter.count == 2 * evaluations
 
 
 def test_recon_step_budget_validation(schedule, zero_net):
     x0 = np.ones((1, 4))
     with pytest.raises(ParameterError):
-        reconstruct_batch(
-            zero_net, schedule, x0, 5, 6,
-            draw_recon_noise(make_rng(0, "x"), np.empty((6,) + x0.shape)),
-        )
+        reconstruct_batch(zero_net, schedule, x0, 5, 6, _slot_fills(0, 6, x0.shape))
     with pytest.raises(ParameterError):
         reconstruct_batch(zero_net, schedule, x0, 5, 0, np.zeros((0, 1, 4)))
     with pytest.raises(ParameterError):

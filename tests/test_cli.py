@@ -119,6 +119,22 @@ def test_score_maps_with_a_baseline_scorer_exits_2(tiny_blob_run, tmp_path, scor
     assert not (out / "scores.csv").exists() and not (out / "manifest").exists()
 
 
+def test_recon_steps_past_the_schedule_exit_2_before_scoring(tiny_blob_run, tmp_path):
+    # refused when the scorer is made, not after a million noise slots
+    root, *_ = tiny_blob_run
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(root / "data" / "test"),
+        checkpoint=str(root / "run" / "checkpoint.bin"),
+        recon_steps=1_000_000,
+    )
+    out = tmp_path / "o"
+    res = run_cli("score", "--config", cfg, "--scorer", "recon", "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.strip() == "irfad: error: usage: steps 1000000 outside [1, 500]"
+    assert not (out / "scores.csv").exists() and not (out / "manifest").exists()
+
+
 def test_score_maps_below_the_field_exits_2_before_scoring(tiny_blob_run, tmp_path):
     # the blob split holds 8x8 fields; a 4-row map target cannot hold them
     root, *_ = tiny_blob_run

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from irfad import baselines, cli, metrics, pipeline
-from irfad.baselines import ddim_invert_batch, draw_recon_noise, reconstruct_batch
+from irfad.baselines import ddim_invert_batch, reconstruct_batch
 from irfad.data import gen_blobs
 from irfad.errors import NumericError, ParameterError
 from irfad.irf import irf_mean, irf_noisy
@@ -56,6 +56,23 @@ def test_scorer_step_must_be_one_integer_in_range(setup, kind, t_infer):
     schedule, net, _ = setup
     with pytest.raises(ParameterError):
         Scorer(kind, net, schedule, t_infer=t_infer)
+
+
+@pytest.mark.parametrize("kind, steps", [
+    (RECON, dict(recon_t_start=50, recon_steps=10**6)),
+    (RECON, dict(recon_t_start=50, recon_steps=0)),
+    (RECON, dict(recon_t_start=101, recon_steps=3)),
+    (RECON, dict(recon_t_start=2.5, recon_steps=1)),
+    (DDIM, dict(ddim_steps=101)),
+    (DDIM, dict(ddim_steps=0)),
+])
+def test_baseline_step_settings_are_refused_at_construction(setup, kind, steps):
+    schedule, net, _ = setup
+    with pytest.raises(ParameterError):
+        Scorer(kind, net, schedule, t_infer=10, **steps)
+    # another kind's step settings are not read
+    other = RECON if kind == DDIM else DDIM
+    Scorer(other, net, schedule, t_infer=10, **{"recon_t_start": 50, **steps})
 
 
 def test_irf_table_matches_per_sample_scores(setup):
@@ -217,7 +234,7 @@ def _serial(scorer, samples, counter):
     rng = make_rng(scorer.noise_seed, "score-recon")
     for start, stop in scorer._batches(n):
         if scorer.kind == RECON:
-            noise = draw_recon_noise(rng, np.empty((scorer.recon_steps, stop - start, X.shape[1])))
+            noise = rng.standard_normal((scorer.recon_steps, stop - start, X.shape[1]))
             s[start:stop] = reconstruct_batch(scorer.net, scorer.schedule, X[start:stop],
                                               scorer.recon_t_start, scorer.recon_steps,
                                               noise, counter)
@@ -436,18 +453,22 @@ def _paced_draw(monkeypatch, pace):
     """Route each slot's draw on the noise thread through `pace(k)`, called
     once slot k is drawn and before its task ends; returns the slots drawn."""
     slots = []
-    draw = baselines.draw_recon_noise
+    make_rng = pipeline.make_rng
 
-    def paced(rng, out):
-        assert threading.current_thread().name == "irfad-noise_0", \
-            "the inline draw ran where the producer should"
-        assert len(out) == 1  # one task per slot
-        draw(rng, out)
-        slots.append(len(slots))
-        pace(slots[-1])
-        return out
+    class Paced:
+        def __init__(self, rng):
+            self.rng = rng
 
-    monkeypatch.setattr(baselines, "draw_recon_noise", paced)
+        def standard_normal(self, *, out):
+            assert threading.current_thread().name == "irfad-noise_0", \
+                "the inline draw ran where the producer should"
+            assert out.ndim == 2  # one (rows, d) slot per task
+            self.rng.standard_normal(out=out)
+            slots.append(len(slots))
+            pace(slots[-1])
+            return out
+
+    monkeypatch.setattr(pipeline, "make_rng", lambda seed, label: Paced(make_rng(seed, label)))
     return slots
 
 
@@ -492,14 +513,22 @@ def test_producer_draw_failure_is_reraised_with_its_own_type(setup, monkeypatch,
         if k == 1:  # the chain has its jump noise and waits for slot 1
             raise DrawFailed("no more noise")
 
-    slots = _paced_draw(monkeypatch, pace)
+    _paced_draw(monkeypatch, pace)
+    predict = baselines.predict_noise
+    steps = []
+
+    def counted(*args):
+        steps.append(args[2])
+        return predict(*args)
+
+    monkeypatch.setattr(baselines, "predict_noise", counted)
     monkeypatch.setattr(pipeline, "_workers", lambda: MORE_THAN_CORES)
     before = threading.active_count()
     with pytest.raises(DrawFailed, match="no more noise"):
         _recon(net, schedule)(ROWS[:2], EvalCounter())
     assert threading.active_count() == before
     assert started == ["irfad-noise_0"]
-    assert slots == [0, 1]  # of 8: each later task re-raises the failure before drawing
+    assert len(steps) == 1  # of 8: the chain stopped at slot 1, after its first step
 
 
 def test_nan_sample_in_a_batch_stops_the_producer(setup, monkeypatch):

@@ -10,6 +10,7 @@ from irfad.schedule import (
     mean_path,
     q_sample,
 )
+from oracles import gaussian_eps_star
 
 
 def test_linear_endpoints():
@@ -177,3 +178,28 @@ def test_forward_moments_monte_carlo():
     se_var = var * np.sqrt(2.0 / n)
     assert np.all(np.abs(draws.mean(axis=0) - mean_path(sched, x0, t)) < 3 * se_mean)
     assert np.all(np.abs(draws.var(axis=0) - var) < 3 * se_var)
+
+
+@pytest.mark.parametrize("t", [100, 400])
+def test_gaussian_eps_star_is_the_least_squares_fit_of_eps(t):
+    # E[eps | x_t] is affine in x_t for Gaussian x0, so a least-squares fit
+    # of eps on [x_t, 1] over many forward draws converges to the oracle's map
+    sched = linear_schedule(1000)
+    rng = make_rng(0, "test-gaussian-eps-star")
+    n = 400_000
+    mu = np.array([1.5, -1.0, 0.5])
+    root = np.array([[0.8, 0.0, 0.0], [0.5, 0.3, 0.0], [-0.4, 0.2, 1.5]])
+    cov = root @ root.T
+    x0 = mu + rng.standard_normal((n, 3)) @ root.T
+    eps = rng.standard_normal((n, 3))
+    abar = sched.alpha_bar(t)
+    x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    design = np.column_stack([x_t, np.ones(n)])
+    fit = np.linalg.lstsq(design, eps, rcond=None)[0]  # rows: x_t's 3 coefficients, then 1's
+    # the oracle's affine map, read off at the origin and the unit vectors
+    offset = gaussian_eps_star(mu, cov, sched, t, np.zeros(3))
+    slope = gaussian_eps_star(mu, cov, sched, t, np.eye(3)) - offset
+    assert np.abs(fit[:3] - slope).max() < 0.01
+    assert np.abs(fit[3] - offset).max() < 0.01
+    gap = design @ fit - gaussian_eps_star(mu, cov, sched, t, x_t)
+    assert np.mean(gap**2) < 1e-4

@@ -21,9 +21,9 @@ Then every file the two runs wrote is compared byte for byte. Only the
 `seconds` column of `trainlog.csv` is masked. Each differing file is
 printed with its first differing offset (in the masked text for
 `trainlog.csv`); a differing `manifest` also lists the lines only one side
-has. Exit status: 0 when every file matches, 1 on any difference, 2 when a
-protocol command fails in either tree. Both trees took 14 s together on a
-2-core box.
+has. Exit status: 0 when every file matches, 1 on any difference, 2 when
+REV cannot be checked out or a protocol command fails in either tree.
+Both trees took 14 s together on a 2-core box.
 """
 
 from __future__ import annotations
@@ -124,8 +124,12 @@ def main(argv: list[str]) -> int:
     sha = sha.stdout.strip()
     with tempfile.TemporaryDirectory(prefix="irfad-bitcheck-") as tmp:
         checkout = Path(tmp) / "rev"
-        subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(checkout), sha],
-                       check=True)
+        added = subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(checkout), sha],
+                               capture_output=True, text=True)
+        if added.returncode != 0:
+            detail = (added.stderr.strip().splitlines() or [f"exit {added.returncode}"])[-1]
+            sys.stderr.write(f"bitcheck: cannot check out {rev} ({sha[:12]}): {detail}\n")
+            return 2
         try:
             print(f"bitcheck: {rev} ({sha[:12]}) against the working tree {head}")
             run_protocol(checkout, Path(tmp) / "out-rev")
