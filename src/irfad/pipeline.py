@@ -17,9 +17,12 @@ the cores without a change to any output bit or evaluation count.
 Both stochastic scorers draw their noise per batch, in batch order, as a
 thread takes the batch, so the bits are those of one thread scoring the
 batches in order. One case differs: a reconstruction call with one batch
-and more than one worker runs its chain on the calling thread alone, so
-`Executor.map` on a one-thread executor (`irfad-noise`) draws the chain's
-slots on the idle core, in draw order, while the chain reads them.
+and more than one worker runs its chain on the calling thread alone, so a
+one-thread executor (`irfad-noise`) draws the chain's slots on the idle
+core, in draw order, while the chain reads them. It draws at most
+`_NOISE_AHEAD` slots beyond the one the chain holds (`_ahead`), into that
+many arrays plus one, which the slots take in turn, so the call holds
+those arrays, not all `recon_steps` slots.
 Leaving a call, by its end, a failure or an interrupt, cancels every task
 not yet started and joins every thread it started (`_threads`). Each call
 re-derives its noise stream from (seed, pass label), so a pass is
@@ -31,9 +34,11 @@ returns, so no caller writes them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +62,10 @@ IRF_NOISY = "irf-noisy"
 RECON = "recon"
 DDIM = "ddim"
 SCORER_KINDS = (IRF_MEAN, IRF_NOISY, RECON, DDIM)
+# recon noise slots submitted beyond the one the chain holds. With 2, a
+# draw runs through each evaluation; with 1 the chain waits for every draw,
+# and a one-batch blob recon call took 1.3-1.5x as long (2-core box)
+_NOISE_AHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,21 @@ def _threads(workers: int, name: str):
                 interrupt = interrupt or exc
         if interrupt is not None:
             raise interrupt
+
+
+def _ahead(pool: ThreadPoolExecutor, fn, items, depth: int):
+    """`map(fn, items)` on `pool`, in order, with at most `depth` calls
+    submitted beyond the result the caller holds. The first `depth` calls
+    are submitted now; each later request submits one more call before it
+    waits for its result. A failed call re-raises with its own type."""
+    pending = collections.deque(pool.submit(fn, item) for item in itertools.islice(items, depth))
+
+    def results():
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+
+    return results()
 
 
 class Scorer:
@@ -293,10 +317,17 @@ class Scorer:
             return rng.standard_normal(out=slot)
 
         def draw(start, stop):
-            # one array per slot: with one (steps, rows, d) block the blob
-            # benchmark's peak RSS read 1-9 MiB above separate arrays'
-            slots = [np.empty((stop - start, d)) for _ in range(self.recon_steps)]
-            return list(map(fill, slots)) if pool is None else pool.map(fill, slots)
+            if pool is None:
+                # one array per slot: with one (steps, rows, d) block the blob
+                # benchmark's peak RSS read 1-9 MiB above separate arrays'
+                slots = (np.empty((stop - start, d)) for _ in range(self.recon_steps))
+                return list(map(fill, slots))
+            # the chain is done with a slot when it asks for the next, so the
+            # look-ahead's slots take turns in _NOISE_AHEAD + 1 arrays: fresh
+            # arrays per slot read 2-3 % slower on the blob recon pass (2-core box)
+            ring = [np.empty((stop - start, d)) for _ in range(_NOISE_AHEAD + 1)]
+            slots = (ring[k % len(ring)] for k in range(self.recon_steps))
+            return _ahead(pool, fill, slots, _NOISE_AHEAD)
 
         def score(start, stop, noise, own):
             scores[start:stop] = baselines.reconstruct_batch(
@@ -304,7 +335,7 @@ class Scorer:
                 noise, own)
 
         # one batch runs on the calling thread alone: draw its noise on an
-        # idle core while the chain runs, instead of before it
+        # idle core while the chain runs, a few slots ahead of it
         alongside = n <= self.batch_size and _workers() > 1
         with _threads(1, "irfad-noise") if alongside else contextlib.nullcontext() as pool:
             self._run_batches(n, score, counter, draw)

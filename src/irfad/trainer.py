@@ -10,7 +10,8 @@ epsilon are AdamW's usual defaults, fixed as the constants ADAM_BETA1,
 ADAM_BETA2 and ADAM_EPS; the learning rate and weight decay are settable.
 The update runs in place over L2-sized slices of each tensor, through two
 scratch arrays allocated once per step, with the bits of the whole-array
-formula.
+formula. A step drops the previous step's gradients before its backward
+pass, so one gradient set is alive at a time.
 
 With a fixed seed the run is bitwise reproducible: all draws come from a
 single counter-based stream in a documented order (per epoch: one
@@ -196,6 +197,7 @@ def train(
                     pnodes = [tape.leaf(p, param=True) for p in net.params]
                     pred = net.forward_tape(tape, tape.leaf(features), pnodes)
                     loss = tape.mean_squared_error(pred, tape.leaf(eps))
+                    grads = None  # the last step's gradients go before this step's are formed
                     grads = tape.backward(loss)
             except NumericError as exc:
                 raise TrainingDivergedError(epoch, str(exc)) from exc

@@ -73,6 +73,17 @@ def test_mask_seconds_empties_the_seconds_column_only():
     assert bitcheck._mask_seconds(raw) == b"epoch,,loss\n1,,0.5\n2,,0.25\n"
 
 
+def test_each_protocol_command_writes_a_directory_of_its_own():
+    steps = list(bitcheck._steps())
+    outs = [argv[argv.index("--out") + 1] for argv, _, _ in steps]
+    assert len(set(outs)) == len(outs)
+    assert len({name for _, name, _ in steps}) == len(steps)
+    # both stochastic scorers score in four batches of the 128-row split too
+    batched = {argv[2] for argv, _, text in steps
+               if argv[0] == "score" and "infer_batch = 32\n" in text}
+    assert batched == set(bitcheck.NOISE_SCORERS) == {"irf-noisy", "recon"}
+
+
 def test_a_failed_checkout_prints_one_line_and_exits_2(monkeypatch, capsys):
     calls = []
 

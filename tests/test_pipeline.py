@@ -567,3 +567,54 @@ def test_interrupt_on_the_calling_thread_mid_draw_stops_the_producer(setup, monk
         _recon(net, schedule)(ROWS[:2], EvalCounter())
     assert threading.active_count() == before
     assert slots == [0, 1]
+
+
+# -- the recon noise look-ahead ------------------------------------------------------
+
+
+def test_one_batch_recon_draws_its_noise_a_bounded_number_of_slots_ahead(
+    setup, monkeypatch, started
+):
+    """With each evaluation slowed, the noise thread runs as far ahead of the
+    chain as it may: never more than `_NOISE_AHEAD` slots drawn and not yet
+    taken by the chain, and the first evaluation starts after `_NOISE_AHEAD`
+    submits, not one per step."""
+    schedule, net, _ = setup
+    scorer = _recon(net, schedule, steps=8)
+    want = _serial(scorer, ROWS[:2], EvalCounter())
+    submits, taken, ahead, at_evaluation = [0], [0], [], []
+    drawn = _paced_draw(monkeypatch, lambda k: ahead.append(k + 1 - taken[0]))
+
+    class Counted(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits[0] += 1
+            return super().submit(*args, **kwargs)
+
+    reconstruct = baselines.reconstruct_batch
+
+    def counting(net, schedule, x0, t_start, steps, noise, counter):
+        def taking():
+            for slot in noise:
+                taken[0] += 1
+                yield slot
+
+        return reconstruct(net, schedule, x0, t_start, steps, taking(), counter)
+
+    predict = baselines.predict_noise
+
+    def slowed(*args):
+        at_evaluation.append(submits[0])
+        time.sleep(0.02)  # the noise thread draws what it may meanwhile
+        ahead.append(len(drawn) - taken[0])
+        return predict(*args)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(baselines, "reconstruct_batch", counting)
+    monkeypatch.setattr(baselines, "predict_noise", slowed)
+    monkeypatch.setattr(pipeline, "_workers", lambda: 2)
+    _assert_same_bits(scorer(ROWS[:2]), want)
+    assert started == ["irfad-noise_0"]
+    assert len(drawn) == taken[0] == submits[0] == 8
+    assert len(at_evaluation) == 8
+    assert at_evaluation[0] <= pipeline._NOISE_AHEAD, at_evaluation
+    assert max(ahead) <= pipeline._NOISE_AHEAD, ahead

@@ -151,6 +151,23 @@ def test_step_on_the_blob_net_allocates_two_slices_only():
 # -- training loop ------------------------------------------------------------
 
 
+def test_training_holds_one_gradient_set():
+    """The trained copy, both AdamW moments, one gradient set and the tape:
+    about 5.3x the parameter bytes. A step that formed its gradients while
+    the last step's were alive held about 6.3x."""
+    schedule = linear_schedule(100)
+    net = NoisePredictor.create(256, (256, 256, 256), 64, schedule, seed=0)
+    data = make_rng(0, "test-train-peak").standard_normal((128, 256))
+    tracemalloc.start()
+    try:
+        train(net, data, schedule, TrainConfig(epochs=1, batch_size=64, seed=1))  # two steps
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.nbytes for p in net.params)
+    assert peak < 5.8 * param_bytes, peak / param_bytes
+
+
 def test_zero_lr_leaves_parameters_unchanged(schedule):
     net = small_net(schedule)
     data = make_rng(0, "test-train").standard_normal((32, 1))

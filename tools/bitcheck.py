@@ -15,7 +15,12 @@ relative paths, so that manifests name the same paths:
 3. `score` of the blob test split with each of the four scorers, with
    `save_maps = true` for irf-mean and irf-noisy;
 4. `eval` from the net with each scorer, and `eval` from each scorer's
-   `scores.csv`.
+   `scores.csv`;
+5. `score` and `eval` from the net with irf-noisy and recon at
+   `infer_batch = 32`, four batches of the 128-row split, so the noise
+   drawn whole per batch is checked beside the one-batch calls of steps 3
+   and 4 (where a recon call with a core to spare draws its noise on a
+   second thread, a few slots ahead of the chain).
 
 Then every file the two runs wrote is compared byte for byte. Only the
 `seconds` column of `trainlog.csv` is masked. Each differing file is
@@ -23,7 +28,7 @@ printed with its first differing offset (in the masked text for
 `trainlog.csv`); a differing `manifest` also lists the lines only one side
 has. Exit status: 0 when every file matches, 1 on any difference, 2 when
 REV cannot be checked out or a protocol command fails in either tree.
-Both trees took 14 s together on a 2-core box.
+Both trees took 9 to 15 s together on a 2-core box.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from pathlib import Path
 
 SCORERS = ("irf-mean", "irf-noisy", "recon", "ddim")
 IRF_SCORERS = ("irf-mean", "irf-noisy")
+NOISE_SCORERS = ("irf-noisy", "recon")
 
 
 def _steps():
@@ -55,6 +61,11 @@ def _steps():
                f"eval-net-{kind}.cfg", net)
         yield (["eval", "--out", f"eval-csv-{kind}"], f"eval-csv-{kind}.cfg",
                f"data = data/test\nscores_csv = score-{kind}/scores.csv\n")
+    for kind in NOISE_SCORERS:
+        for command, out in (("score", "score"), ("eval", "eval-net")):
+            name = f"{out}-{kind}-batch32"
+            yield ([command, "--scorer", kind, "--out", name], f"{name}.cfg",
+                   net + "infer_batch = 32\n")
 
 
 def run_protocol(tree: Path, work: Path) -> None:
