@@ -27,6 +27,7 @@ from .data import (
     BlobParams,
     Dataset,
     atomic_write,
+    field_shape,
     gen_blobs,
     gen_toy,
     load_dataset,
@@ -53,7 +54,6 @@ from .pipeline import (
     SCORER_KINDS,
     Scorer,
     evaluate_scorer,
-    field_shape,
     pixel_maps,
 )
 from .schedule import linear_schedule

@@ -29,6 +29,16 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {quote(value)}")
 
 
+def _parse_widths(value: str) -> tuple[int, ...]:
+    try:
+        widths = parse_ints(value)
+    except ValueError:
+        widths = ()
+    if not widths:  # parse_ints reads "" as no entry
+        raise ConfigError(f"expected comma-separated integers with no empty entry, got {quote(value)}")
+    return widths
+
+
 @dataclass
 class RunConfig:
     """Every tunable of the pipeline; see README for the schema."""
@@ -80,49 +90,27 @@ class RunConfig:
     blob_cols: int = 3
 
     def set_key(self, key: str, raw: str) -> None:
-        if key not in _KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown config key {quote(key)}")
         if "\n" in raw or "\r" in raw:  # it could not be written back as one manifest line
             raise ConfigError(f"value for {key!r} holds a line break: {quote(raw)}")
-        current = getattr(self, key)
         try:
-            if isinstance(current, bool):
-                value = _parse_bool(raw)
-            elif isinstance(current, int):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            elif isinstance(current, tuple):
-                value = parse_ints(raw)
-                if not value:  # parse_ints reads "" as no entry
-                    raise ValueError(raw)
-            else:
-                value = raw
+            value = _PARSERS[key](raw)
         except ValueError as exc:
-            if isinstance(current, tuple):
-                raise ConfigError(
-                    f"expected comma-separated integers with no empty entry, got {quote(raw)}"
-                ) from exc
             raise ConfigError(f"bad value for {key!r}: {quote(raw)}") from exc
         setattr(self, key, value)
 
-    def items(self) -> list[tuple[str, str]]:
-        out = []
-        for key in _KEYS:
-            value = getattr(self, key)
-            if isinstance(value, tuple):
-                rendered = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
-            out.append((key, rendered))
-        return out
+    def items(self) -> list[tuple[str, object]]:
+        """(key, value) of every key in declaration order, typed; a manifest
+        writes them through `data.format_key_values`."""
+        return [(key, getattr(self, key)) for key in _PARSERS]
 
 
-_KEYS = tuple(f.name for f in fields(RunConfig))  # every key, in declaration order
+# every key, in declaration order, and the parser of its default's type
+_PARSERS = {
+    f.name: {bool: _parse_bool, int: int, float: float, tuple: _parse_widths, str: str}[type(f.default)]
+    for f in fields(RunConfig)
+}
 
 
 def load_config_file(path: str | os.PathLike, config: RunConfig) -> RunConfig:

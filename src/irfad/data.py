@@ -18,9 +18,10 @@ Two generators, both deterministic functions of a seed:
   test sample its blob's row and then its column.
 
 On-disk layout of one split directory (documented bit-exactly):
-  manifest          key=value lines: format_version, role (train or test),
-                    count, shape, has_masks (true or false), mask_shape
-                    (when annotated), prov.* provenance entries
+  manifest          key=value lines (format_key_values): format_version,
+                    role (train or test), count, shape, has_masks (true or
+                    false), mask_shape (when annotated), prov.* provenance
+                    entries
   samples.bin       count * prod(shape) finite float64, little-endian, row-major
   labels.bin        count bytes, 0 = normal, 1 = abnormal
   masks/masks.bin   count * H * W bytes of 0 or 1 (only when pixel-annotated)
@@ -62,6 +63,7 @@ class Dataset:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.uint8)
+        fields = field_shape(self.samples.shape[1:])[1:]  # (h, w); refuses other shapes
         if self.role not in ("train", "test"):
             raise DataError(f"role must be 'train' or 'test', got {quote(self.role)}")
         if self.labels.shape != (self.samples.shape[0],):
@@ -76,7 +78,6 @@ class Dataset:
                 raise DataError("masks must be (n, H, W), one per sample")
             if np.any(self.masks > 1):
                 raise DataError("masks must be binary")
-            fields = self.samples.shape[2:] if self.samples.ndim == 4 else (1, 1)
             if not np.all(np.greater_equal(self.masks.shape[1:], fields)):
                 raise DataError(f"masks {self.masks.shape[1:]} are smaller than the fields {fields}")
             positive = self.masks.any(axis=(1, 2))
@@ -92,6 +93,15 @@ class Dataset:
     @property
     def sample_shape(self) -> tuple[int, ...]:
         return self.samples.shape[1:]
+
+
+def field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
+    """Samples are (c, h, w) fields; 1-D vectors degenerate to (d, 1, 1)."""
+    if len(sample_shape) == 3:
+        return sample_shape
+    if len(sample_shape) == 1:
+        return (sample_shape[0], 1, 1)
+    raise DataError(f"unsupported sample shape {sample_shape}: need (d,) vectors or (c, h, w) fields")
 
 
 def gen_toy(seed: int) -> tuple[Dataset, Dataset]:
@@ -251,7 +261,7 @@ def parse_key_values(text: str, where: str) -> dict[str, str]:
     Blank and `#` lines are skipped; any other line needs a key and `=`,
     else DataError("<where>:<line>: expected key=value, got <quote(line)>").
     A repeated key's last value wins. Configs, manifests and checkpoint
-    headers all go through here.
+    headers all go through here; `parse_entries` then types the values.
     """
     items = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -280,10 +290,18 @@ def read_key_values(path: str | os.PathLike) -> dict[str, str]:
     return parse_key_values(text, path)
 
 
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def format_key_values(items, where: str | os.PathLike) -> bytes:
-    """One UTF-8 `key=value` line per (key, value) pair. A key or value that
-    holds a line break would not read back: DataError naming `where`."""
-    lines = [f"{key}={value}" for key, value in items]
+    """One UTF-8 `key=value` line per (key, value) pair: a bool is written
+    `true` or `false`, a tuple as its comma-joined entries, anything else
+    by `str` (a float's is its repr). A line break in a key or value would
+    not read back: DataError naming `where`."""
+    lines = [f"{key}={_text(value)}" for key, value in items]
     for line in lines:
         if "\n" in line or "\r" in line:
             raise DataError(f"{where}: line break in {quote(line)}")
@@ -301,6 +319,33 @@ def parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",")) if text else ()
 
 
+def parse_bool(text: str) -> bool:
+    """`true` or `false`, as format_key_values writes a bool; else ValueError."""
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+def parse_entries(entries: dict[str, str], parsers: dict, where: str) -> dict:
+    """`parsers[key](entries[key])` for each key of `parsers`. A missing key
+    is DataError("<where> has no '<key>' entry"), a ValueError from a parser
+    DataError("bad <where> (<key>: cannot parse <quote(value)>)")."""
+    out = {}
+    for key, parse in parsers.items():
+        if key not in entries:
+            raise DataError(f"{where} has no {key!r} entry")
+        try:
+            out[key] = parse(entries[key])
+        except ValueError as exc:
+            raise DataError(f"bad {where} ({key}: cannot parse {quote(entries[key])})") from exc
+    return out
+
+
+# the parser of each key every manifest has; mask_shape follows has_masks=true
+_MANIFEST = {"format_version": int, "role": str, "count": int, "shape": parse_ints,
+             "has_masks": parse_bool}
+
+
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     path = os.fspath(path)
     os.makedirs(path, exist_ok=True)
@@ -308,11 +353,11 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
         ("format_version", _FORMAT_VERSION),
         ("role", dataset.role),
         ("count", len(dataset)),
-        ("shape", ",".join(str(s) for s in dataset.sample_shape)),
-        ("has_masks", "true" if dataset.masks is not None else "false"),
+        ("shape", dataset.sample_shape),
+        ("has_masks", dataset.masks is not None),
     ]
     if dataset.masks is not None:
-        items.append(("mask_shape", f"{dataset.masks.shape[1]},{dataset.masks.shape[2]}"))
+        items.append(("mask_shape", dataset.masks.shape[1:]))
     items += [(f"prov.{key}", value) for key, value in sorted(dataset.provenance.items())]
     samples = np.ascontiguousarray(dataset.samples, "<f8").tobytes()
     atomic_write(os.path.join(path, "samples.bin"), samples)
@@ -348,40 +393,27 @@ def _read_array(path: str, name: str, shape: tuple[int, ...], dtype) -> np.ndarr
 def load_dataset(path: str | os.PathLike) -> Dataset:
     path = os.fspath(path)
     manifest = read_key_values(os.path.join(path, "manifest"))
-
-    def entry(key: str, parse=str):
-        """`parse` of the manifest's `key`; a missing or bad entry is a DataError."""
-        if key not in manifest:
-            raise DataError(f"bad manifest in {path}: no {key!r} entry")
-        try:
-            return parse(manifest[key])
-        except ValueError as exc:
-            raise DataError(f"bad manifest in {path}: {key}={quote(manifest[key])}") from exc
-
-    if entry("format_version", int) != _FORMAT_VERSION:
+    where = f"manifest in {path}"
+    entries = parse_entries(manifest, _MANIFEST, where)
+    if entries["format_version"] != _FORMAT_VERSION:
         raise DataError(f"unsupported dataset format {quote(manifest['format_version'])}")
-    count = entry("count", int)
-    shape = entry("shape", parse_ints)
-    has_masks = entry("has_masks")
-    role = entry("role")
-    if has_masks == "true":
-        mask_shape = entry("mask_shape", parse_ints)
-    elif has_masks != "false":
-        raise DataError(f"bad manifest in {path}: has_masks={quote(has_masks)}")
+    if entries["has_masks"]:
+        entries |= parse_entries(manifest, {"mask_shape": parse_ints}, where)
+    count, shape = entries["count"], entries["shape"]
 
     samples = _read_array(path, "samples.bin", (count, *shape), "<f8")
     if not np.all(np.isfinite(samples)):
         raise DataError(f"samples.bin in {path} holds non-finite values")
     labels = _read_array(path, "labels.bin", (count,), np.uint8)
     masks = None
-    if has_masks == "true":
+    if entries["has_masks"]:
         masks_bin = os.path.join("masks", "masks.bin")
-        masks = _read_array(path, masks_bin, (count, *mask_shape), np.uint8)
+        masks = _read_array(path, masks_bin, (count, *entries["mask_shape"]), np.uint8)
     provenance = {
         key[len("prov.") :]: value
         for key, value in manifest.items()
         if key.startswith("prov.")
     }
     return Dataset(
-        samples=samples, labels=labels, masks=masks, provenance=provenance, role=role
+        samples=samples, labels=labels, masks=masks, provenance=provenance, role=entries["role"]
     )

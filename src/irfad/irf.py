@@ -11,7 +11,11 @@ it.
 `irf_mean` and `irf_noisy` take one sample (x0.size == d, any shape) or a
 stack of them (x0.shape[1:] holds d entries) and return delta in x0's
 shape. The batched scorers in `pipeline` call them per batch, so the
-one-evaluation contract covers every IRF score.
+one-evaluation contract covers every IRF score: a call that spends any
+other number of evaluations raises ContractError, and a caller that needs
+the count passes its own counter. The result holds delta only;
+`MEAN_PATH` and `NOISY_STATE` name the two input conventions in
+`trajectories.tsv`.
 
 Default inference steps: t=500 for feature-map data, t=250 for the 1-D
 toy problem (both overridable).
@@ -38,8 +42,6 @@ MEAN_PATH = "mean_path"
 @dataclass(frozen=True)
 class IrfResult:
     delta: np.ndarray  # x0's shape
-    input_kind: str
-    nfe: int  # network evaluations: one per sample
 
 
 def _rows(net: NoisePredictor, x0: np.ndarray) -> np.ndarray:
@@ -52,7 +54,7 @@ def _rows(net: NoisePredictor, x0: np.ndarray) -> np.ndarray:
     raise ShapeError(f"input shape {x0.shape} holds neither one sample nor a stack of d={d}")
 
 
-def _field(net, state, t, counter, shape, input_kind) -> IrfResult:
+def _field(net, state, t, counter, shape) -> IrfResult:
     """One network evaluation per row of `state`, checked on the counter;
     delta comes back in `shape`."""
     counter = counter if counter is not None else EvalCounter()
@@ -61,7 +63,7 @@ def _field(net, state, t, counter, shape, input_kind) -> IrfResult:
     nfe = counter.count - before
     if nfe != len(state):
         raise ContractError(f"IRF consumed {nfe} network evaluations for {len(state)} samples")
-    return IrfResult(delta=delta.reshape(shape), input_kind=input_kind, nfe=nfe)
+    return IrfResult(delta=delta.reshape(shape))
 
 
 def irf_noisy(
@@ -83,7 +85,7 @@ def irf_noisy(
         raise ShapeError(f"eps shape {eps.shape} != x0 shape {x0.shape}")
     rows = _rows(net, x0)
     state = q_sample(schedule, rows, t, eps.reshape(rows.shape))
-    return _field(net, state, t, counter, x0.shape, NOISY_STATE)
+    return _field(net, state, t, counter, x0.shape)
 
 
 def irf_mean(
@@ -99,4 +101,4 @@ def irf_mean(
     """
     x0 = np.asarray(x0, dtype=np.float64)
     state = mean_path(schedule, _rows(net, x0), t)
-    return _field(net, state, t, counter, x0.shape, MEAN_PATH)
+    return _field(net, state, t, counter, x0.shape)

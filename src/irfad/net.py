@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write, format_key_values, parse_ints, parse_key_values, quote
+from .data import atomic_write, format_key_values, parse_entries, parse_ints, parse_key_values
 from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -264,15 +264,15 @@ def predict_noise(
 #   bytes 0..3   magic "IRFN"
 #   bytes 4..7   uint32 format version (2)
 #   bytes 8..11  uint32 header length L
-#   bytes 12..   L bytes of UTF-8 `key=value` lines (data.format_key_values):
-#                d, hidden (comma-separated, empty for none), m, T,
-#                beta_start, beta_end (repr of the float), seed
+#   bytes 12..   L bytes of UTF-8 `key=value` lines (data.format_key_values
+#                of NetSpec's fields): d, hidden (comma-separated, empty for
+#                none), m, T, beta_start, beta_end (repr of the float), seed
 #   then the parameter arrays, raw float64 little-endian, row-major, in
 #   declared layer order [W0, b0, W1, b1, ..., Wout, bout], whose shapes
 #   NoisePredictor.layer_shapes derives from the header.
 
-# each header key and its parser, in NetSpec's field order, which is the
-# order save_checkpoint writes them in
+# each header key and its parser (data.parse_entries), in NetSpec's field
+# order, which is the order save_checkpoint writes them in
 _HEADER = {"d": int, "hidden": parse_ints, "m": int, "T": int,
            "beta_start": float, "beta_end": float, "seed": int}
 
@@ -281,8 +281,7 @@ def save_checkpoint(net: NoisePredictor, path: str | os.PathLike) -> None:
     for p in net.params:
         if not np.all(np.isfinite(p)):
             raise NumericError("refusing to save non-finite parameters")
-    fields = {**vars(net.spec), "hidden": ",".join(map(str, net.spec.hidden))}
-    header = format_key_values(fields.items(), path)  # a float's text is its repr
+    header = format_key_values(vars(net.spec).items(), path)
     payload = b"".join(
         [
             CHECKPOINT_MAGIC,
@@ -293,20 +292,6 @@ def save_checkpoint(net: NoisePredictor, path: str | os.PathLike) -> None:
         ]
     )
     atomic_write(path, payload)
-
-
-def _header_spec(text: str, where: str) -> NetSpec:
-    """The NetSpec a checkpoint header records. A missing key is a KeyError,
-    a bad value a ValueError or ParameterError naming its key (a value that
-    does not parse is quoted through `data.quote`)."""
-    header = parse_key_values(text, where)
-    fields = {}
-    for key, parse in _HEADER.items():
-        try:
-            fields[key] = parse(header[key])
-        except ValueError as exc:
-            raise ValueError(f"{key}: cannot parse {quote(header[key])}") from exc
-    return NetSpec(**fields)
 
 
 def load_checkpoint(
@@ -338,11 +323,12 @@ def load_checkpoint(
         hlen = int.from_bytes(head[8:12], "little")
         if size < 12 + hlen:
             raise CorruptCheckpointError(f"{path}: truncated header")
-        try:  # ValueError covers ParameterError and UnicodeDecodeError
-            spec = _header_spec(fh.read(hlen).decode("utf-8"), "header")
-        except KeyError as exc:
-            raise CorruptCheckpointError(f"{path}: header has no {exc} entry") from exc
-        except (ValueError, DataError) as exc:
+        try:
+            header = parse_key_values(fh.read(hlen).decode("utf-8"), "header")
+            spec = NetSpec(**parse_entries(header, _HEADER, "header"))
+        except DataError as exc:
+            raise CorruptCheckpointError(f"{path}: {exc}") from exc
+        except ValueError as exc:  # ParameterError or UnicodeDecodeError
             raise CorruptCheckpointError(f"{path}: bad header ({exc})") from exc
         if schedule is not None:
             mismatches = []

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .data import Dataset, quote
+from .data import Dataset, field_shape, quote
 from .errors import NumericError, ParameterError
 from .metrics import EvalReport, aupro, auroc, average_precision, f1_max, shared_ranking
 from .irf import irf_mean, irf_noisy
@@ -111,15 +111,6 @@ def _workers() -> int:
         cores = os.cpu_count() or 1
     get = _openblas_get_num_threads()
     return max(1, cores // max(1, get() if get is not None else 1))
-
-
-def field_shape(sample_shape: tuple[int, ...]) -> tuple[int, int, int]:
-    """Samples are (c, h, w) fields; 1-D vectors degenerate to (d, 1, 1)."""
-    if len(sample_shape) == 3:
-        return sample_shape
-    if len(sample_shape) == 1:
-        return (sample_shape[0], 1, 1)
-    raise ParameterError(f"unsupported sample shape {sample_shape}")
 
 
 @contextlib.contextmanager

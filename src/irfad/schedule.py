@@ -47,10 +47,12 @@ def check_step(t, T: int, low: int = 1) -> int:
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise levels beta_t and cumulative products abar_t.
+    """Cumulative products abar_t of the per-step noise levels beta_t.
 
-    Direct construction performs no range validation so that tests can
-    build degenerate schedules (e.g. beta == 0, abar == 1); use
+    Every forward quantity reads abar_t alone; the betas themselves are a
+    local of `linear_schedule`, which records their range in `beta_start`
+    and `beta_end`. Direct construction performs no range validation so
+    that tests can build degenerate schedules (e.g. abar == 1); use
     `linear_schedule` for checked construction. The read-only tables
     `root_alpha_bars` and `root_rests` hold sqrt(abar_t) and
     sqrt(1 - abar_t); NumPy's sqrt is correctly rounded, so an entry has
@@ -58,7 +60,6 @@ class NoiseSchedule:
     """
 
     T: int
-    betas: np.ndarray  # shape (T,), betas[t-1] is beta_t
     alpha_bars: np.ndarray  # shape (T,), alpha_bars[t-1] is abar_t
     beta_start: float | None = field(default=None)
     beta_end: float | None = field(default=None)
@@ -66,15 +67,10 @@ class NoiseSchedule:
     root_rests: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        betas = np.ascontiguousarray(self.betas, dtype=np.float64)
         abars = np.ascontiguousarray(self.alpha_bars, dtype=np.float64)
-        if betas.shape != (self.T,) or abars.shape != (self.T,):
-            raise ShapeError(
-                f"schedule arrays must have shape ({self.T},), got "
-                f"{betas.shape} and {abars.shape}"
-            )
+        if abars.shape != (self.T,):
+            raise ShapeError(f"alpha_bars must have shape ({self.T},), got {abars.shape}")
         tables = {
-            "betas": betas,
             "alpha_bars": abars,
             "root_alpha_bars": np.sqrt(abars),
             "root_rests": np.sqrt(1.0 - abars),
@@ -104,11 +100,9 @@ def linear_schedule(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
     betas = np.linspace(beta_start, beta_end, T)
-    alpha_bars = np.cumprod(1.0 - betas)
     return NoiseSchedule(
         T=int(T),
-        betas=betas,
-        alpha_bars=alpha_bars,
+        alpha_bars=np.cumprod(1.0 - betas),
         beta_start=float(beta_start),
         beta_end=float(beta_end),
     )

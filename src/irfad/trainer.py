@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, TrainingDivergedError
+from .errors import DataError, NumericError, ParameterError, ShapeError, TrainingDivergedError
 from .grad import Tape
 from .net import NoisePredictor, time_embedding
 from .rng import make_rng
@@ -161,9 +161,13 @@ def train(
 ) -> tuple[NoisePredictor, TrainLog]:
     """Fit the noise predictor on normal samples; returns a trained copy.
 
-    `data` is a Dataset of normal samples or a plain (n, ...) array; the
-    input net is left untouched.
+    `data` is a Dataset of normal samples (one with an abnormal label is a
+    DataError) or a plain (n, ...) array, taken as normal; the input net is
+    left untouched.
     """
+    abnormal = np.count_nonzero(getattr(data, "labels", ()))  # a label is 0 or 1
+    if abnormal:
+        raise DataError(f"training data holds {abnormal} abnormal samples")
     samples = np.asarray(getattr(data, "samples", data), dtype=np.float64)
     if samples.ndim < 2 or samples.shape[0] == 0:
         raise ParameterError("training data must be a non-empty (n, ...) array")

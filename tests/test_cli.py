@@ -360,6 +360,31 @@ def test_split_breaking_a_mask_invariant_exits_3_before_scoring(fault, tiny_blob
     assert not (out / "eval.csv").exists()
 
 
+def test_split_of_neither_vectors_nor_fields_exits_3_at_load(tmp_path, capsys):
+    # 32-entry vectors rewritten as (4, 8) samples: the same bytes, a shape no scorer takes
+    save_dataset(Dataset(np.ones((6, 32)), np.zeros(6, dtype=np.uint8), None), tmp_path / "split")
+    _insert_line(tmp_path / "split" / "manifest", 99, "shape=4,8")  # the last value wins
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.cfg", data=tmp_path / "split", epochs=1, hidden="8")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "irfad: error: data: unsupported sample shape (4, 8): "
+        "need (d,) vectors or (c, h, w) fields\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_train_on_a_split_with_abnormal_labels_exits_3(tiny_blob_run, tmp_path, capsys):
+    root, *_ = tiny_blob_run
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.cfg", data=root / "data" / "test", epochs=1, hidden="8")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "irfad: error: data: training data holds 6 abnormal samples\n"
+    assert list(out.iterdir()) == []
+
+
 def test_missing_dataset_exits_3(tmp_path):
     cfg = write_config(
         tmp_path / "c.cfg", data=str(tmp_path / "absent"), checkpoint="x"

@@ -1,6 +1,11 @@
+import dataclasses
+import math
 import os
+import re
+import struct
 import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,6 +27,7 @@ from irfad.data import (
     write_key_values,
 )
 from irfad.errors import ConfigError, DataError, ParameterError
+from irfad.net import _HEADER, NetSpec
 from irfad.rng import make_rng
 
 from oracles import blobs_per_sample
@@ -204,6 +210,14 @@ def test_masks_must_cover_the_field():
             Dataset(np.zeros((1, 2, *fields)), labels, np.ones((1, *masks), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 4, 8), (3, 1, 2, 2, 2), ()])
+def test_samples_must_be_vectors_or_fields(shape):
+    with pytest.raises(DataError, match="unsupported sample shape"):
+        Dataset(np.zeros(shape), np.zeros(shape[:1], dtype=np.uint8), None)
+    assert data.field_shape((5,)) == (5, 1, 1)
+    assert data.field_shape((2, 3, 4)) == (2, 3, 4)
+
+
 # -- key=value codec ----------------------------------------------------------------
 
 
@@ -305,6 +319,131 @@ def test_key_value_codec_round_trips_and_names_a_bad_line(items, bad, pick):
             with pytest.raises(error) as excinfo:
                 load()
             assert f"{target}:{at + 1}: expected key=value" in str(excinfo.value)
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+# each kind of typed value, with the parser that reads format_key_values' text back
+_TYPED = st.one_of(
+    st.tuples(st.booleans(), st.just(data.parse_bool)),
+    st.tuples(st.integers(-(2**70), 2**70), st.just(int)),
+    st.tuples(st.floats(allow_nan=False), st.just(float)),
+    st.tuples(st.lists(st.integers(-(2**40), 2**40), max_size=4).map(tuple), st.just(data.parse_ints)),
+    st.tuples(_VALUES, st.just(str)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(typed=st.dictionaries(_KEYS, _TYPED, max_size=8))
+def test_typed_values_read_back_equal_through_their_parsers(typed):
+    text = data.format_key_values([(key, value) for key, (value, _) in typed.items()], "kv")
+    entries = data.parse_key_values(text.decode("utf-8"), "kv")
+    parsers = {key: parse for key, (_, parse) in typed.items()}
+    parsed = data.parse_entries(entries, parsers, "kv")
+    assert {k: _bits(v) for k, v in parsed.items()} == {k: _bits(v) for k, (v, _) in typed.items()}
+
+
+def _config_values(default):
+    """Values a RunConfig field of `default`'s type can hold and write."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-(2**70), 2**70)
+    if isinstance(default, float):
+        return st.floats(allow_nan=False)
+    if isinstance(default, tuple):  # a config tuple has at least one entry
+        return st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(tuple)
+    return _VALUES
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {f.name: _config_values(f.default) for f in dataclasses.fields(RunConfig)}
+).map(lambda values: RunConfig(**values))
+_SPECS = st.builds(
+    NetSpec, d=st.integers(1, 4), hidden=st.lists(st.integers(1, 5), max_size=3).map(tuple),
+    m=st.integers(1, 4).map(lambda k: 2 * k), T=st.integers(1, 2000),
+    beta_start=st.floats(allow_nan=False, allow_infinity=False),
+    beta_end=st.floats(allow_nan=False, allow_infinity=False), seed=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(config=_CONFIGS, spec=_SPECS)
+def test_run_configs_and_net_specs_round_trip_through_files(config, spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        write_key_values(path, config.items())
+        assert load_config_file(path, RunConfig()) == config
+        write_key_values(path, vars(spec).items())
+        assert NetSpec(**data.parse_entries(read_key_values(path), _HEADER, "header")) == spec
+
+
+@st.composite
+def _splits(draw):
+    n = draw(st.integers(1, 4))
+    sample_shape = draw(st.sampled_from([(1,), (3,), (2, 2, 3), (1, 1, 1)]))
+    role = draw(st.sampled_from(["train", "test"]))
+    labels = np.zeros(n, dtype=np.uint8)
+    if role == "test":
+        labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    masks = None
+    if role == "test" and draw(st.booleans()):
+        scale = draw(st.integers(1, 2))
+        _, h, w = data.field_shape(sample_shape)
+        masks = np.zeros((n, h * scale, w * scale + draw(st.integers(0, 1))), dtype=np.uint8)
+        masks[labels == 1, 0, 0] = 1
+    samples = np.array(
+        draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=n * math.prod(sample_shape), max_size=n * math.prod(sample_shape)))
+    ).reshape((n, *sample_shape))
+    provenance = draw(st.dictionaries(_KEYS, _VALUES, max_size=3))
+    return Dataset(samples, labels, masks, provenance, role)
+
+
+@settings(max_examples=50, deadline=None)
+@given(split=_splits())
+def test_split_manifests_round_trip_through_files(split):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        save_dataset(split, first)
+        loaded = load_dataset(first)
+        assert loaded.samples.shape == split.samples.shape
+        assert loaded.samples.tobytes() == split.samples.tobytes()
+        assert np.array_equal(loaded.labels, split.labels)
+        assert (loaded.masks is None) == (split.masks is None)
+        if split.masks is not None:
+            assert np.array_equal(loaded.masks, split.masks)
+        assert (loaded.role, loaded.provenance) == (split.role, split.provenance)
+        save_dataset(loaded, second)
+        files = [p.relative_to(first) for p in first.rglob("*") if p.is_file()]
+        assert len(files) == 3 + (split.masks is not None)
+        for name in files:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+# what a lenient reader (config's booleans, say) would take as a bool
+_NEAR_BOOLS = ["True", "FALSE", "tRue", "1", "0", "yes", "no", "on", "off", " true", "false\t", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.sampled_from(_NEAR_BOOLS), st.text(max_size=8)))
+def test_has_masks_reads_true_or_false_and_nothing_else(text):
+    if text in ("true", "false"):
+        assert data.parse_bool(text) is (text == "true")
+        return
+    with pytest.raises(ValueError):
+        data.parse_bool(text)
+    value = text.strip()
+    if "\n" in text or "\r" in text or value in ("true", "false"):
+        return  # a line break cannot be written, and the reader strips the value
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(Dataset(np.zeros((2, 1)), np.zeros(2, dtype=np.uint8), None), tmp)
+        manifest = read_key_values(os.path.join(tmp, "manifest"))
+        write_key_values(os.path.join(tmp, "manifest"), {**manifest, "has_masks": text}.items())
+        with pytest.raises(DataError, match=re.escape(f"(has_masks: cannot parse {quote(value)})")):
+            load_dataset(tmp)
 
 
 # -- disk round trip ------------------------------------------------------------------

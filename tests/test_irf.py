@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import irfad.irf
 from irfad.errors import ContractError, ParameterError, ShapeError
-from irfad.irf import MEAN_PATH, NOISY_STATE, irf_mean, irf_noisy
+from irfad.irf import irf_mean, irf_noisy
 from irfad.net import EvalCounter, NoisePredictor, predict_noise
 from irfad.pipeline import IRF_MEAN, IRF_NOISY, Scorer
 from irfad.rng import make_rng
@@ -30,15 +30,16 @@ def test_zero_eps_coincides_with_mean_path(setup):
         noisy = irf_noisy(net, schedule, x0, t, np.zeros(3))
         mean = irf_mean(net, schedule, x0, t)
         assert np.array_equal(noisy.delta, mean.delta)
-        assert noisy.input_kind == NOISY_STATE
-        assert mean.input_kind == MEAN_PATH
 
 
 def test_single_network_evaluation(setup):
     schedule, net = setup
     x0 = np.ones(3)
-    assert irf_mean(net, schedule, x0, 10).nfe == 1
-    assert irf_noisy(net, schedule, x0, 10, np.ones(3)).nfe == 1
+    for field in (lambda c: irf_mean(net, schedule, x0, 10, c),
+                  lambda c: irf_noisy(net, schedule, x0, 10, np.ones(3), c)):
+        counter = EvalCounter()
+        field(counter)
+        assert counter.count == 1
 
 
 def test_external_counter_accumulates(setup):
@@ -94,11 +95,12 @@ def test_stack_matches_per_sample_calls(setup):
     # BLAS picks different kernels per shape, so equality is to rounding only
     schedule, net = setup
     xs = make_rng(10, "test-irf-stack").standard_normal((7, 3, 1, 1))
-    stack = irf_mean(net, schedule, xs, 40)
-    assert stack.nfe == 7
+    counter = EvalCounter()
+    stack = irf_mean(net, schedule, xs, 40, counter)
+    assert counter.count == 7
     for i in range(len(xs)):
-        single = irf_mean(net, schedule, xs[i], 40)
-        assert single.nfe == 1
+        single = irf_mean(net, schedule, xs[i], 40, counter)
+        assert counter.count == 8 + i
         assert np.allclose(stack.delta[i], single.delta, rtol=1e-12, atol=1e-14)
 
 

@@ -15,8 +15,8 @@ from oracles import gaussian_eps_star
 
 def test_linear_endpoints():
     sched = linear_schedule(1000, 1e-4, 0.02)
-    assert sched.betas[0] == 1e-4
-    assert sched.betas[-1] == 0.02
+    assert sched.alpha_bars[0] == 1.0 - 1e-4
+    assert np.array_equal(sched.alpha_bars, np.cumprod(1.0 - np.linspace(1e-4, 0.02, 1000)))
     assert sched.T == 1000
 
 
@@ -27,7 +27,7 @@ def test_single_step_product():
 
 def test_two_step_product():
     sched = linear_schedule(2, 0.1, 0.3)
-    assert sched.alpha_bars[1] == (1.0 - sched.betas[0]) * (1.0 - sched.betas[1])
+    assert sched.alpha_bars[1] == (1.0 - 0.1) * (1.0 - 0.3)
     assert sched.alpha_bars[1] == pytest.approx(0.63, rel=1e-12)
 
 
@@ -51,29 +51,29 @@ def test_invalid_ranges(T, start, end):
 
 def test_recurrence_exact_at_working_precision():
     sched = linear_schedule()
+    betas = np.linspace(1e-4, 0.02, sched.T)
     prev = 1.0
     for t in range(1, sched.T + 1):
-        expected = prev * (1.0 - sched.betas[t - 1])
+        expected = prev * (1.0 - betas[t - 1])
         assert sched.alpha_bars[t - 1] == expected
         prev = expected
 
 
 def test_alpha_bars_strictly_decreasing_and_in_range():
     sched = linear_schedule()
-    assert np.all(sched.betas > 0) and np.all(sched.betas < 1)
     assert np.all(np.diff(sched.alpha_bars) < 0)
     assert np.all(sched.alpha_bars > 0) and np.all(sched.alpha_bars <= 1)
 
 
 def test_sqrt_of_product_matches_product_of_sqrts():
     sched = linear_schedule(500)
-    root_prod = np.cumprod(np.sqrt(1.0 - sched.betas))
+    root_prod = np.cumprod(np.sqrt(1.0 - np.linspace(1e-4, 0.02, 500)))
     assert np.allclose(np.sqrt(sched.alpha_bars), root_prod, rtol=1e-12, atol=0)
 
 
 def test_schedule_arrays_immutable():
     sched = linear_schedule(10)
-    for table in (sched.betas, sched.alpha_bars, sched.root_alpha_bars, sched.root_rests):
+    for table in (sched.alpha_bars, sched.root_alpha_bars, sched.root_rests):
         with pytest.raises(ValueError):
             table[0] = 0.5
 
@@ -113,16 +113,16 @@ def test_q_sample_zero_eps_equals_mean_path():
 
 def test_q_sample_scalar_hand_case():
     # abar = 0.64: x_t = 0.8*2.5 + 0.6*1.0 = 2.6
-    sched = NoiseSchedule(T=1, betas=np.array([0.36]), alpha_bars=np.array([0.64]))
+    sched = NoiseSchedule(T=1, alpha_bars=np.array([0.64]))
     out = q_sample(sched, np.array([2.5]), 1, np.array([1.0]))
     assert out[0] == pytest.approx(2.6, abs=1e-12)
 
 
 def test_mean_path_hand_cases():
-    sched = NoiseSchedule(T=1, betas=np.array([0.75]), alpha_bars=np.array([0.25]))
+    sched = NoiseSchedule(T=1, alpha_bars=np.array([0.25]))
     assert mean_path(sched, np.array([2.5]), 1)[0] == pytest.approx(1.25, abs=1e-12)
     # beta == 0 limit: abar == 1 makes the mean path the identity
-    ident = NoiseSchedule(T=1, betas=np.array([0.0]), alpha_bars=np.array([1.0]))
+    ident = NoiseSchedule(T=1, alpha_bars=np.array([1.0]))
     x0 = np.array([0.3, -1.2, 4.0])
     assert np.array_equal(mean_path(ident, x0, 1), x0)
     assert np.array_equal(mean_path(sched, np.zeros(4), 1), np.zeros(4))
