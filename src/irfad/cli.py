@@ -3,9 +3,10 @@
 Commands: gen | train | score | eval | toy | bench. Every command takes
 the same flags --config, --seed, --t, --scorer, --out, before or after the
 command; they override config-file values (see config.py for precedence).
-`main` creates the output directory, and once the command succeeds writes
-a `manifest` with the fully resolved configuration next to its artifacts.
-All files are written atomically through `data.atomic_write`.
+All files are written atomically through `data.atomic_write`, which makes
+the output directory with the first of them, so a command refused on its
+inputs leaves no `--out`. Once the command succeeds, `main` writes a
+`manifest` with the fully resolved configuration beside its artifacts.
 
 Exit codes: 0 success, 2 config error, 3 data/artifact error (including
 a path the OS refuses, such as an `--out` that names a file, and memory
@@ -89,8 +90,9 @@ def _write_manifest(out_dir: str, command: str, cfg: RunConfig, source=None) -> 
     write_key_values(os.path.join(out_dir, "manifest"), [("command", command), *items])
 
 
-def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
-    """A run table: the header, then one `sep`-joined line per row.
+def _write_table(path: str, header: list[str], columns: list) -> None:
+    """A run table at `path`: the header, then one line per row, its fields
+    joined by a tab in a `.tsv` file and by `,` in any other.
 
     `columns` holds one sequence per header field. An ndarray column is
     written through `tolist()` and `repr`, so a float is its shortest
@@ -116,8 +118,9 @@ def _table_bytes(header: list[str], columns: list, sep: str = ",") -> bytes:
                     text = list(map(repr, col.tolist()))
                 written.append((bits, text))
             cells.append(text)
+    sep = "\t" if path.endswith(".tsv") else ","
     lines = [sep.join(header), *map(sep.join, zip(*cells))]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _load_run_dataset(path: str) -> Dataset:
@@ -191,10 +194,8 @@ def _write_scores(out_dir: str, table) -> None:
         components = [table.s_diff, table.s_nll]
     else:
         components = [[""] * n, [""] * n]
-    atomic_write(
-        os.path.join(out_dir, "scores.csv"),
-        _table_bytes(["id", "s", "s_diff", "s_nll"], [range(n), table.s, *components]),
-    )
+    path = os.path.join(out_dir, "scores.csv")
+    _write_table(path, ["id", "s", "s_diff", "s_nll"], [range(n), table.s, *components])
 
 
 def _write_trajectories(out_dir: str, dataset: Dataset, tables) -> None:
@@ -206,20 +207,15 @@ def _write_trajectories(out_dir: str, dataset: Dataset, tables) -> None:
         np.tile(dataset.labels, k),
         [kind for _, kind in tables for _ in range(len(dataset))],
     ]
-    atomic_write(
-        os.path.join(out_dir, "trajectories.tsv"),
-        _table_bytes(["x0", "abs_delta", "label", "input_kind"], columns, sep="\t"),
-    )
+    path = os.path.join(out_dir, "trajectories.tsv")
+    _write_table(path, ["x0", "abs_delta", "label", "input_kind"], columns)
 
 
 def _write_trainlog(out_dir: str, log) -> None:
     """trainlog.csv: epoch, mean loss and seconds."""
     epochs = range(1, len(log.epoch_losses) + 1)
     columns = [epochs, np.array(log.epoch_losses), np.array(log.epoch_seconds)]
-    atomic_write(
-        os.path.join(out_dir, "trainlog.csv"),
-        _table_bytes(["epoch", "mean_loss", "seconds"], columns),
-    )
+    _write_table(os.path.join(out_dir, "trainlog.csv"), ["epoch", "mean_loss", "seconds"], columns)
 
 
 def _image_report(scores: np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -235,10 +231,7 @@ def _image_report(scores: np.ndarray, labels: np.ndarray) -> EvalReport:
 def _write_report(out_dir: str, report: EvalReport) -> None:
     """eval.csv, then the same rows on stdout."""
     rows = report.rows()
-    atomic_write(
-        os.path.join(out_dir, "eval.csv"),
-        _table_bytes(["metric", "value"], list(zip(*rows))),
-    )
+    _write_table(os.path.join(out_dir, "eval.csv"), ["metric", "value"], list(zip(*rows)))
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name.ljust(width)}  {value}")
@@ -402,12 +395,10 @@ def cmd_bench(cfg: RunConfig) -> None:
         nfes.append(nfe)
         rates.append(rate)
         print(f"{kind}: nfe={nfe} rate={rate:.1f}/s")
-    atomic_write(
+    _write_table(
         os.path.join(cfg.out, "bench.csv"),
-        _table_bytes(
-            ["scorer", "auroc", "ap", "f1_max", "nfe", "samples_per_sec"],
-            [kinds, *np.array(accuracy).T, nfes, np.array(rates)],
-        ),
+        ["scorer", "auroc", "ap", "f1_max", "nfe", "samples_per_sec"],
+        [kinds, *np.array(accuracy).T, nfes, np.array(rates)],
     )
 
 
@@ -448,7 +439,11 @@ def main(argv=None) -> int:
         source = None
         if args.command == "eval" and cfg.scores_csv:
             source = _score_run(cfg.scores_csv)  # refused before any output
-        os.makedirs(cfg.out, exist_ok=True)
+        out = os.path.abspath(cfg.out)  # refused now if it is, or lies under, a file
+        while not os.path.lexists(out):
+            out = os.path.dirname(out)
+        if not os.path.isdir(out):
+            raise DataError(f"--out {quote(cfg.out)}: {quote(out)} is not a directory")
         _COMMANDS[args.command](cfg)
         _write_manifest(cfg.out, args.command, cfg, source)
         return 0

@@ -25,6 +25,9 @@ On-disk layout of one split directory (documented bit-exactly):
   samples.bin       count * prod(shape) finite float64, little-endian, row-major
   labels.bin        count bytes, 0 = normal, 1 = abnormal
   masks/masks.bin   count * H * W bytes of 0 or 1 (only when pixel-annotated)
+
+Each `.bin` file holds exactly its array, read by `read_array` (as is each
+parameter of a checkpoint) after the manifest's sample shape is checked.
 """
 
 from __future__ import annotations
@@ -238,8 +241,10 @@ def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
     """Write `payload` to `<path>.tmp`, then rename it over `path`.
 
     A reader sees the old file or the whole new one, never a partial write.
-    Every file irfad writes goes through here.
+    Missing directories above `path` are made first. Every file irfad writes
+    goes through here.
     """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -348,7 +353,6 @@ _MANIFEST = {"format_version": int, "role": str, "count": int, "shape": parse_in
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     path = os.fspath(path)
-    os.makedirs(path, exist_ok=True)
     items = [
         ("format_version", _FORMAT_VERSION),
         ("role", dataset.role),
@@ -363,30 +367,27 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     atomic_write(os.path.join(path, "samples.bin"), samples)
     atomic_write(os.path.join(path, "labels.bin"), dataset.labels.tobytes())
     if dataset.masks is not None:
-        os.makedirs(os.path.join(path, "masks"), exist_ok=True)
         atomic_write(os.path.join(path, "masks", "masks.bin"), dataset.masks.tobytes())
     write_key_values(os.path.join(path, "manifest"), items)
 
 
-def _read_array(path: str, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """File `name` of split directory `path`, read into a fresh array of `shape`.
-
-    The file size must equal the array's byte count; it is compared before
-    anything is allocated, so a corrupt manifest count costs no large array.
-    """
-    fpath = os.path.join(path, name)
-    if not os.path.exists(fpath):
-        raise DataError(f"missing {name} in {path}")
+def read_array(fh, shape: tuple[int, ...], dtype, name: str) -> np.ndarray:
+    """The next array of `shape` and `dtype` in the binary file `fh`, read
+    into a fresh array. Its byte count is compared with the bytes left in
+    the file before anything is allocated. A negative dimension, too few
+    bytes and a non-finite float are each a DataError naming `name`; bytes
+    after the array are the caller's to check."""
     if any(n < 0 for n in shape):
-        raise DataError(f"bad manifest in {path}: negative size in {name} shape {shape}")
+        raise DataError(f"negative size in {name} shape {shape}")
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    with open(fpath, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size != nbytes:
-            raise DataError(f"{name} has {size} bytes, expected {nbytes}")
-        out = np.empty(shape, dtype=dtype)
-        if fh.readinto(out) != nbytes:  # the file shrank after fstat
-            raise DataError(f"{name} has fewer than {nbytes} bytes")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < nbytes:
+        raise DataError(f"truncated {name}: {left} bytes left, {nbytes} needed")
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out) != nbytes:  # the file shrank after fstat
+        raise DataError(f"truncated {name}: fewer than {nbytes} bytes")
+    if out.dtype.kind == "f" and not np.isfinite(out).all():
+        raise DataError(f"{name} holds non-finite values")
     return out
 
 
@@ -397,23 +398,26 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     entries = parse_entries(manifest, _MANIFEST, where)
     if entries["format_version"] != _FORMAT_VERSION:
         raise DataError(f"unsupported dataset format {quote(manifest['format_version'])}")
+    field_shape(entries["shape"])  # refuses a sample shape before any file is read
+    count = entries["count"]
+    files = {"samples.bin": ((count, *entries["shape"]), "<f8"),
+             "labels.bin": ((count,), np.uint8)}
     if entries["has_masks"]:
-        entries |= parse_entries(manifest, {"mask_shape": parse_ints}, where)
-    count, shape = entries["count"], entries["shape"]
-
-    samples = _read_array(path, "samples.bin", (count, *shape), "<f8")
-    if not np.all(np.isfinite(samples)):
-        raise DataError(f"samples.bin in {path} holds non-finite values")
-    labels = _read_array(path, "labels.bin", (count,), np.uint8)
-    masks = None
-    if entries["has_masks"]:
-        masks_bin = os.path.join("masks", "masks.bin")
-        masks = _read_array(path, masks_bin, (count, *entries["mask_shape"]), np.uint8)
+        mask_shape = parse_entries(manifest, {"mask_shape": parse_ints}, where)["mask_shape"]
+        files[os.path.join("masks", "masks.bin")] = ((count, *mask_shape), np.uint8)
+    arrays = []
+    for name, (shape, dtype) in files.items():
+        fpath = os.path.join(path, name)
+        if not os.path.exists(fpath):
+            raise DataError(f"missing {name} in {path}")
+        with open(fpath, "rb") as fh:
+            arrays.append(read_array(fh, shape, dtype, name))
+            if fh.read(1):
+                raise DataError(f"trailing bytes after {name}")
+    samples, labels, *masks = arrays
     provenance = {
         key[len("prov.") :]: value
         for key, value in manifest.items()
         if key.startswith("prov.")
     }
-    return Dataset(
-        samples=samples, labels=labels, masks=masks, provenance=provenance, role=entries["role"]
-    )
+    return Dataset(samples, labels, masks[0] if masks else None, provenance, entries["role"])

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write, format_key_values, parse_entries, parse_ints, parse_key_values
+from .data import (atomic_write, format_key_values, parse_entries, parse_ints,
+                   parse_key_values, read_array)
 from .errors import (
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -302,13 +303,13 @@ def load_checkpoint(
     When `schedule` is given, its T (and beta range, when parameterized)
     must match the values recorded at save time. A header that is not
     UTF-8 `key=value` text, lacks a key or holds a value that does not
-    parse or that `NetSpec` refuses, and non-finite parameters make the
-    file corrupt. The parameter shapes come from the header's d, hidden
-    and m, so a header that disagrees with the payload reads as truncated
-    or trailing bytes. Every length is checked against the file size
-    before it is read or allocated, so a corrupt length field costs no
-    large read; each parameter is read straight into its own fresh,
-    aligned array.
+    parse or that `NetSpec` refuses makes the file corrupt. The parameter
+    shapes come from the header's d, hidden and m, so a header that
+    disagrees with the payload reads as truncated or trailing bytes. The
+    header length is checked against the file size before it is read, and
+    each parameter is read by `data.read_array` into its own fresh array,
+    so a corrupt length costs no large read; its `DataError` (too few
+    bytes, non-finite values) becomes a CorruptCheckpointError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -340,19 +341,11 @@ def load_checkpoint(
                 mismatches.append(f"beta_end {schedule.beta_end} != {spec.beta_end}")
             if mismatches:
                 raise ScheduleMismatchError(f"{path}: {'; '.join(mismatches)}")
-        offset = 12 + hlen
-        params = []
-        for shape in (s for pair in NoisePredictor.layer_shapes(spec) for s in pair):
-            nbytes = math.prod(shape) * 8
-            if size - offset < nbytes:
-                raise CorruptCheckpointError(f"{path}: truncated parameter data")
-            param = np.empty(shape, dtype="<f8")
-            if fh.readinto(param) != nbytes:  # the file shrank after fstat
-                raise CorruptCheckpointError(f"{path}: truncated parameter data")
-            if not np.all(np.isfinite(param)):
-                raise CorruptCheckpointError(f"{path}: non-finite parameter values")
-            params.append(param)
-            offset += nbytes
-        if offset != size:
+        try:
+            shapes = [s for pair in NoisePredictor.layer_shapes(spec) for s in pair]
+            params = [read_array(fh, shape, "<f8", "parameter data") for shape in shapes]
+        except DataError as exc:
+            raise CorruptCheckpointError(f"{path}: {exc}") from exc
+        if fh.read(1):
             raise CorruptCheckpointError(f"{path}: trailing bytes after parameters")
         return NoisePredictor(spec, params)

@@ -372,7 +372,7 @@ def test_split_of_neither_vectors_nor_fields_exits_3_at_load(tmp_path, capsys):
         "irfad: error: data: unsupported sample shape (4, 8): "
         "need (d,) vectors or (c, h, w) fields\n"
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_train_on_a_split_with_abnormal_labels_exits_3(tiny_blob_run, tmp_path, capsys):
@@ -382,7 +382,36 @@ def test_train_on_a_split_with_abnormal_labels_exits_3(tiny_blob_run, tmp_path, 
     capsys.readouterr()
     assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == "irfad: error: data: training data holds 6 abnormal samples\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_split_shape_is_refused_before_its_files_are_opened(tmp_path, capsys):
+    save_dataset(Dataset(np.ones((6, 32)), np.zeros(6, dtype=np.uint8), None), tmp_path / "split")
+    _insert_line(tmp_path / "split" / "manifest", 99, "shape=4,8")
+    (tmp_path / "split" / "samples.bin").unlink()
+    cfg = write_config(tmp_path / "c.cfg", data=tmp_path / "split", epochs=1, hidden="8")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "irfad: error: data: unsupported sample shape (4, 8):"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, config, code",
+    [
+        ("train", {"data": "absent"}, 3),
+        ("score", {"data": "absent", "checkpoint": "absent.bin"}, 3),
+        ("eval", {}, 2),
+    ],
+    ids=["train", "score", "eval"],
+)
+def test_a_command_refused_on_its_inputs_creates_no_out(command, config, code, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.cfg", **{k: tmp_path / v for k, v in config.items()})
+    out = tmp_path / "a" / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("irfad: error: ")
+    assert not (tmp_path / "a").exists()
 
 
 def test_missing_dataset_exits_3(tmp_path):
@@ -619,6 +648,15 @@ def test_out_naming_a_file_exits_3(inside, tmp_path):
     assert res.returncode == 3, res.stderr
     assert_one_error_line(res, "data")
     assert taken.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_is_refused_before_the_command_runs(inside, tmp_path, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    monkeypatch.setitem(cli._COMMANDS, "gen", lambda cfg: pytest.fail("the command ran"))
+    out = taken / "sub" if inside else taken
+    assert cli.main(["gen", "--out", str(out)]) == 3
 
 
 def test_checkpoint_naming_a_directory_exits_3(tiny_blob_run, tmp_path):
@@ -1105,10 +1143,13 @@ def test_table_bytes_match_the_row_writer(data):
         else:
             words = st.text("abcdefgh-_.", min_size=1, max_size=6)
             columns.append(data.draw(st.lists(words, min_size=n, max_size=n)))
-    sep = data.draw(st.sampled_from([",", "\t"]), label="sep")
+    name, sep = data.draw(st.sampled_from([("t.csv", ","), ("t.tsv", "\t")]), label="file")
     header = [f"c{j}" for j in range(len(columns))]
     rows = [[_fmt(col[i]) for col in columns] for i in range(n)]
-    assert cli._table_bytes(header, columns, sep) == _csv_bytes(header, rows, sep)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, name)
+        cli._write_table(str(path), header, columns)
+        assert path.read_bytes() == _csv_bytes(header, rows, sep)
 
 
 def test_import_loads_no_scipy():

@@ -491,7 +491,7 @@ def test_huge_manifest_count_is_load_error_without_allocating(tmp_path):
     manifest.write_text(manifest.read_text().replace("count=4", f"count={10**12}"))
     tracemalloc.start()
     try:
-        with pytest.raises(DataError, match="samples.bin has"):
+        with pytest.raises(DataError, match="truncated samples.bin"):
             load_dataset(tmp_path / "ds")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -523,8 +523,28 @@ def test_truncated_samples_is_load_error(tmp_path):
     save_dataset(train, tmp_path / "ds")
     raw = (tmp_path / "ds" / "samples.bin").read_bytes()
     (tmp_path / "ds" / "samples.bin").write_bytes(raw[:-8])
-    message = f"^samples.bin has {len(raw) - 8} bytes, expected {len(raw)}$"
+    message = f"^truncated samples.bin: {len(raw) - 8} bytes left, {len(raw)} needed$"
     with pytest.raises(DataError, match=message):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("name", ["samples.bin", "labels.bin", "masks/masks.bin"])
+def test_bytes_after_an_array_are_a_load_error(name, tmp_path):
+    _, test = gen_blobs(2, 4, seed=0)
+    save_dataset(test, tmp_path / "ds")
+    with open(tmp_path / "ds" / name, "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(DataError, match=f"^trailing bytes after {re.escape(name)}$"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_non_finite_sample_is_load_error(tmp_path):
+    train, _ = gen_blobs(3, 4, seed=0)
+    save_dataset(train, tmp_path / "ds")
+    raw = bytearray((tmp_path / "ds" / "samples.bin").read_bytes())
+    raw[-8:] = np.array([np.inf], "<f8").tobytes()
+    (tmp_path / "ds" / "samples.bin").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="^samples.bin holds non-finite values$"):
         load_dataset(tmp_path / "ds")
 
 
