@@ -1,4 +1,4 @@
-"""Minimal reverse-mode differentiation over dense float64 arrays.
+"""Minimal reverse-mode differentiation over dense float32 or float64 arrays.
 
 Just enough autodiff to train the noise-prediction MLP: a tape is built
 per training step (define-by-run, so creation order is a
@@ -11,8 +11,12 @@ A node needs a gradient when it is a parameter or was computed from one;
 gradients are never formed for the rest (the network input and the
 regression target), so layer 0 skips its input gradient.
 
-Numpy ndarrays are the tensor carrier (row-major float64); finiteness is
-enforced at graph boundaries (`leaf`), interior ops trust their inputs.
+Numpy ndarrays are the tensor carrier. A leaf keeps a float32 or float64
+input's dtype and widens anything else to float64, and each op computes
+in its inputs' dtype, so a graph of float32 leaves (the trainer's step)
+runs in float32 and one of float64 leaves (the gradient checks) in
+float64. Finiteness is enforced at graph boundaries (`leaf`), interior
+ops trust their inputs.
 
 `silu_denominator` is the one SiLU of the package: the tape's `silu` and
 the inference forward (`NoisePredictor.forward_features`) both divide by
@@ -72,8 +76,11 @@ class Tape:
         return node
 
     def leaf(self, value, *, param: bool = False) -> Node:
-        """Graph input. Finiteness is checked here, the graph boundary."""
-        arr = np.asarray(value, dtype=np.float64)
+        """Graph input, float32 kept and any other dtype widened to float64.
+        Finiteness is checked here, the graph boundary."""
+        arr = np.asarray(value)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NumericError("non-finite value entering the tape")
         return self._record(arr, (), None, param)

@@ -121,9 +121,11 @@ class NetSpec:
 class NoisePredictor:
     """MLP noise predictor; immutable at inference time.
 
-    Parameters are stored as [W0, b0, W1, b1, ..., Wout, bout] with
-    Wk of shape (fan_in, fan_out). Only the trainer mutates them, in place
-    on a fresh copy that has served no inference yet.
+    Parameters are float64 arrays, stored as [W0, b0, W1, b1, ..., Wout,
+    bout] with Wk of shape (fan_in, fan_out), and inference computes in
+    float64. Only the trainer mutates them, in place on a fresh copy that
+    has served no inference yet; its steps compute on float32 copies
+    (`trainer.COMPUTE_DTYPE`) and keep these as the float64 master weights.
     """
 
     def __init__(self, spec: NetSpec, params: list[np.ndarray]):
@@ -227,7 +229,8 @@ class NoisePredictor:
         return h
 
     def forward_tape(self, tape: Tape, x2_node: Node, param_nodes: list[Node]) -> Node:
-        """Same computation recorded on a tape for training."""
+        """Same computation recorded on a tape for training, in the dtype of
+        the tape's leaves (float32 in a training step)."""
         h = x2_node
         n_layers = len(param_nodes) // 2
         for i in range(n_layers - 1):
@@ -270,7 +273,9 @@ def predict_noise(
 #                none), m, T, beta_start, beta_end (repr of the float), seed
 #   then the parameter arrays, raw float64 little-endian, row-major, in
 #   declared layer order [W0, b0, W1, b1, ..., Wout, bout], whose shapes
-#   NoisePredictor.layer_shapes derives from the header.
+#   NoisePredictor.layer_shapes derives from the header. These are the
+#   float64 master weights: training computes in float32 but updates and
+#   stores float64, so the format does not depend on the compute dtype.
 
 # each header key and its parser (data.parse_entries), in NetSpec's field
 # order, which is the order save_checkpoint writes them in

@@ -16,10 +16,11 @@ the cores without a change to any output bit or evaluation count.
 
 Both stochastic scorers draw their noise per batch, in batch order, as a
 thread takes the batch, so the bits are those of one thread scoring the
-batches in order. One case differs: a reconstruction call with one batch
-and more than one worker runs its chain on the calling thread alone, so a
-one-thread executor (`irfad-noise`) draws the chain's slots on the idle
-core, in draw order, while the chain reads them. It draws at most
+batches in order. One case differs: a reconstruction call with one batch,
+more than one worker and slots of at least `_NOISE_THREAD_MIN_ENTRIES`
+entries runs its chain on the calling thread alone, so a one-thread
+executor (`irfad-noise`) draws the chain's slots on the idle core, in
+draw order, while the chain reads them. It draws at most
 `_NOISE_AHEAD` slots beyond the one the chain holds (`_ahead`), into that
 many arrays plus one, which the slots take in turn, so the call holds
 those arrays, not all `recon_steps` slots.
@@ -66,6 +67,15 @@ SCORER_KINDS = (IRF_MEAN, IRF_NOISY, RECON, DDIM)
 # draw runs through each evaluation; with 1 the chain waits for every draw,
 # and a one-batch blob recon call took 1.3-1.5x as long (2-core box)
 _NOISE_AHEAD = 2
+# a one-batch recon call draws on the noise thread only when a slot holds at
+# least this many entries (rows x d); a smaller one is drawn inline, as the
+# hand-off per step then costs more than the draw. 50-step calls, thread/inline
+# medians over 3 alternating process pairs (2-core box, one BLAS thread):
+# 256 x (256,256,256) net: 1024 entries 10.3/8.0 ms, 2048 14.3/13.4, 4096
+# 25.3/25.4, 8192 34.3/37.9, 32768 (the blob pass) 98.6/126.7; d 4, (16,):
+# 1 row 3.3/1.0 ms, 1024 entries 6.3/3.1, 4096 9.4/9.9, 16384 46.4/55.4;
+# d 64, (128,128): 1024 entries 11.5/6.8 ms, 4096 15.5/20.1, 8192 24.6/27.9
+_NOISE_THREAD_MIN_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -326,8 +336,10 @@ class Scorer:
                 noise, own)
 
         # one batch runs on the calling thread alone: draw its noise on an
-        # idle core while the chain runs, a few slots ahead of it
-        alongside = n <= self.batch_size and _workers() > 1
+        # idle core while the chain runs, a few slots ahead of it, unless a
+        # slot is too small for the hand-off to pay
+        alongside = (n <= self.batch_size and n * d >= _NOISE_THREAD_MIN_ENTRIES
+                     and _workers() > 1)
         with _threads(1, "irfad-noise") if alongside else contextlib.nullcontext() as pool:
             self._run_batches(n, score, counter, draw)
         return ScoreTable(s=scores)

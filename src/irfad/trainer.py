@@ -3,15 +3,20 @@
 Each step draws a batch of clean samples, a per-sample step index t
 uniform on {1..T} and per-sample Gaussian noise, forms the noisy state
 with the closed-form forward marginal, and regresses the network output
-onto the injected noise under mean squared error. Updates use AdamW
-(Loshchilov & Hutter, 2019): bias-corrected first/second moments, then
-decoupled weight decay. The moment decay rates and the denominator's
-epsilon are AdamW's usual defaults, fixed as the constants ADAM_BETA1,
-ADAM_BETA2 and ADAM_EPS; the learning rate and weight decay are settable.
-The update runs in place over L2-sized slices of each tensor, through two
-scratch arrays allocated once per step, with the bits of the whole-array
-formula. A step drops the previous step's gradients before its backward
-pass, so one gradient set is alive at a time.
+onto the injected noise under mean squared error. The step's forward,
+loss and backward run in COMPUTE_DTYPE (float32) on cast copies of the
+parameters, features and target, while the parameters themselves, the
+float64 master weights that checkpoints store, are only ever updated in
+float64 (mixed-precision training, Micikevicius et al., 2018). Updates
+use AdamW (Loshchilov & Hutter, 2019): bias-corrected first/second
+moments, then decoupled weight decay. The moment decay rates and the
+denominator's epsilon are AdamW's usual defaults, fixed as the constants
+ADAM_BETA1, ADAM_BETA2 and ADAM_EPS; the learning rate and weight decay
+are settable. The update runs in place over L2-sized slices of each
+tensor, through two scratch arrays allocated once per step, with the bits
+of the whole-array float64 formula on the float64-widened gradients. A
+step drops the previous step's gradients before its backward pass, so one
+gradient set is alive at a time.
 
 With a fixed seed the run is bitwise reproducible: all draws come from a
 single counter-based stream in a documented order (per epoch: one
@@ -35,7 +40,13 @@ from .schedule import NoiseSchedule, q_sample
 ADAM_BETA1 = 0.9  # first-moment decay rate
 ADAM_BETA2 = 0.999  # second-moment decay rate
 ADAM_EPS = 1e-8  # added to sqrt(v_hat) in the update's denominator
-_CHUNK = 2**15  # elements per optimizer slice: 256 KiB of float64, six fit in a 2 MiB L2
+# dtype of a training step's forward, loss and backward, so its matmuls run
+# in single precision; the parameters and AdamW's moments stay float64
+COMPUTE_DTYPE = np.float32
+# elements per optimizer slice: the float64 slices of p, m and v and the two
+# float64 scratch arrays take 256 KiB each, the float32 gradient slice 128
+# KiB, and all six fit in a 2 MiB L2
+_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,9 @@ def optimizer_step(
 
     Each tensor is swept in views of at most _CHUNK elements, so the slices
     of p, g, m and v and the two scratch arrays stay in one core's L2 cache
-    through all of a slice's passes. Every element gets the IEEE operations
+    through all of a slice's passes. Each gradient slice is first widened
+    into a float64 scratch array, so a float32 gradient is never squared or
+    scaled in float32; then every element gets the float64 IEEE operations
     of the whole-array formula, in its order:
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps)), then p -= (lr*wd) * p.
@@ -134,11 +147,12 @@ def optimizer_step(
             ps, gs, ms, vs = p[index], g[index], m[index], v[index]
             a = scratch_a[: ps.size].reshape(ps.shape)
             b = scratch_b[: ps.size].reshape(ps.shape)
+            np.copyto(b, gs)  # g in float64, until v has taken g*g
             ms *= ADAM_BETA1
-            np.multiply(gs, 1.0 - ADAM_BETA1, out=a)
+            np.multiply(b, 1.0 - ADAM_BETA1, out=a)
             ms += a
             vs *= ADAM_BETA2
-            np.multiply(gs, gs, out=a)
+            np.multiply(b, b, out=a)
             a *= 1.0 - ADAM_BETA2
             vs += a
             np.divide(ms, bc1, out=a)
@@ -192,15 +206,19 @@ def train(
             t = rng.integers(1, schedule.T + 1, size=idx.size)
             eps = rng.standard_normal(xb.shape)
             xt = q_sample(schedule, xb, t, eps)
-            features = np.concatenate([xt, embed_table[t - 1]], axis=1)
 
             try:
-                # overflow surfaces as a non-finite loss, handled right below
+                # an overflowing cast is refused by Tape.leaf as non-finite,
+                # and an overflow inside the step surfaces as a non-finite
+                # loss, handled right below
                 with np.errstate(over="ignore", invalid="ignore"):
+                    features = np.concatenate([xt, embed_table[t - 1]], axis=1,
+                                              dtype=COMPUTE_DTYPE)
                     tape = Tape()
-                    pnodes = [tape.leaf(p, param=True) for p in net.params]
+                    pnodes = [tape.leaf(p.astype(COMPUTE_DTYPE), param=True)
+                              for p in net.params]
                     pred = net.forward_tape(tape, tape.leaf(features), pnodes)
-                    loss = tape.mean_squared_error(pred, tape.leaf(eps))
+                    loss = tape.mean_squared_error(pred, tape.leaf(eps.astype(COMPUTE_DTYPE)))
                     grads = None  # the last step's gradients go before this step's are formed
                     grads = tape.backward(loss)
             except NumericError as exc:

@@ -355,6 +355,25 @@ def gaussian_eps_star(mu, cov, schedule, t: int, x_t) -> np.ndarray:
     return eps.reshape(x_t.shape)
 
 
+def blob_channel_basis(h: int, w: int) -> np.ndarray:
+    """A (h*w, 9), from the blob generator's constants: one channel of a blob
+    field, flattened, is A @ z with z ~ N(0, I_9) its 3x3 coefficient draw,
+    so the channel is N(0, A A^T). Column 3p + q is the cosine mode (p, q)
+    times its damping 1 / (1 + p + q)."""
+    py = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, h)))  # (3, h)
+    px = np.cos(np.pi * np.outer(np.arange(3), np.linspace(0, 1, w)))  # (3, w)
+    damp = 1.0 / (1.0 + np.add.outer(np.arange(3), np.arange(3)))
+    return np.einsum("pq,ph,qw->hwpq", damp, py, px).reshape(h * w, 9)
+
+
+def blob_covariance(dims) -> np.ndarray:
+    """Covariance of a flattened normal (c, h, w) blob field: the channels are
+    independent, each N(0, A A^T) with A = blob_channel_basis(h, w)."""
+    c, h, w = dims
+    basis = blob_channel_basis(h, w)
+    return np.kron(np.eye(c), basis @ basis.T)
+
+
 # -- blob generator -----------------------------------------------------------
 #
 # The library's former `gen_blobs` body, kept verbatim: one `_smooth_field`

@@ -10,18 +10,21 @@ import sys
 import numpy as np
 
 from irfad.irf import irf_mean, irf_noisy
-from irfad.metrics import auroc, throughput
+from irfad.metrics import aupro, auroc, throughput
 from irfad.net import EvalCounter, predict_noise
 from irfad.pipeline import DDIM, IRF_MEAN, IRF_NOISY, RECON, Scorer, evaluate_scorer
 from irfad.rng import make_rng
-from irfad.schedule import q_sample
+from irfad.schedule import mean_path, q_sample
+from irfad.scoring import bilinear_upsample, feature_scale_maps
 
 from conftest import ACCEPTANCE_LOG
 from oracles import (
     ap_exhaustive,
     aupro_exhaustive,
     auroc_pairs,
+    blob_covariance,
     f1_exhaustive,
+    gaussian_eps_star,
 )
 
 
@@ -205,6 +208,30 @@ def test_c9_pixel_level_pipeline(blob_run):
         f"pixel AUROC={report.pixel_auroc:.4f} (>=0.9), "
         f"AU-PRO={report.pixel_aupro:.4f} (>=0.7), "
         f"zero-amplitude image AUROC={zero_auroc:.4f} (0.5 +/- 0.05)",
+    )
+
+
+def test_c9_gap_to_the_gaussian_optimum(blob_run):
+    # Report only, with no bound: normal blob fields are N(0, A A^T), so the
+    # Bayes-optimal predictor eps* is Gaussian conditioning. The line tells
+    # how far the reference net is from eps* on the mean-path states that
+    # C9 scores, and what eps*'s own fields score on C9's metrics.
+    test, t = blob_run.test, blob_run.t_infer
+    cov = blob_covariance(test.sample_shape)
+    states = mean_path(blob_run.schedule, test.samples.reshape(len(test), -1), t)
+    optimum = gaussian_eps_star(np.zeros(len(cov)), cov, blob_run.schedule, t, states)
+    normal = test.labels == 0
+    gap = float(np.mean((predict_noise(blob_run.net, states[normal], t) - optimum[normal]) ** 2))
+    scale = float(np.mean(optimum[normal] ** 2))
+    maps = bilinear_upsample(feature_scale_maps(optimum.reshape(test.samples.shape)),
+                             *test.masks.shape[1:])
+    criterion(
+        "C9 companion: gap to the Gaussian optimum",
+        True,
+        f"t={t}, {int(normal.sum())} normal rows: mean squared gap net - eps*={gap:.4g} "
+        f"(mean eps*^2={scale:.4g}); eps* fields: pixel AUROC="
+        f"{auroc(maps.reshape(-1), test.masks.reshape(-1)):.4f}, "
+        f"AU-PRO={aupro(maps, test.masks, 0.3):.4f} (report only)",
     )
 
 

@@ -1,15 +1,13 @@
 """tools/bitcheck.py's report and exit codes, without git or a protocol run."""
 
-import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bitcheck.py"
-_spec = importlib.util.spec_from_file_location("bitcheck", _PATH)
-bitcheck = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bitcheck)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bitcheck  # noqa: E402
 
 
 def _tree(root: Path, files: dict[str, bytes]) -> Path:

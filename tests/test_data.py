@@ -30,7 +30,7 @@ from irfad.errors import ConfigError, DataError, ParameterError
 from irfad.net import _HEADER, NetSpec
 from irfad.rng import make_rng
 
-from oracles import blobs_per_sample
+from oracles import blob_channel_basis, blob_covariance, blobs_per_sample
 
 
 # -- toy generator --------------------------------------------------------------
@@ -158,6 +158,19 @@ def test_batched_blobs_match_the_per_sample_generator(args):
     assert test.masks.shape == masks.shape and test.masks.tobytes() == masks.tobytes()
     assert len(streams) == 1
     assert _next_draws(streams[0]) == _next_draws(oracle_rng)
+
+
+@pytest.mark.parametrize("dims", [(4, 8, 8), (2, 4, 16)])
+def test_blob_fields_are_the_channel_basis_times_their_coefficient_draw(dims):
+    # the generator's first draw is the (n, c, 3, 3) train coefficients
+    c, h, w = dims
+    train, _ = gen_blobs(50, 2, dims=dims, seed=4)
+    coef = make_rng(4, "blobs").standard_normal((50, c, 9))
+    fields = coef @ blob_channel_basis(h, w).T  # (n, c, h*w)
+    assert np.allclose(train.samples.reshape(50, c, h * w), fields, rtol=0, atol=1e-12)
+    cov = blob_covariance(dims)
+    assert cov.shape == (c * h * w,) * 2 and np.array_equal(cov, cov.T)
+    assert np.linalg.matrix_rank(cov) == 9 * c  # three cosine modes per axis
 
 
 def test_blob_deterministic_per_seed():

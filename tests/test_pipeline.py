@@ -298,15 +298,16 @@ def test_parallel_scorer_matches_the_serial_loop(setup, monkeypatch, started, ki
     _assert_scorer_threads(started, workers, 12)
     assert _count(started, "irfad-scorer") == len(started)
     started.clear()
-    scorer(ROWS[:2])  # one batch: no scoring thread, but recon's noise thread takes an idle core
-    assert started == (["irfad-noise_0"] if kind == RECON and workers > 1 else [])
+    scorer(ROWS[:2])  # one batch: no scoring thread, and recon's 64-entry slots are drawn inline
+    assert started == []
 
 
+@pytest.mark.parametrize("min_entries", [64, 65], ids=["slot-at-threshold", "slot-below"])
 @pytest.mark.parametrize("workers", [1, 2, MORE_THAN_CORES])
 @pytest.mark.parametrize("rows", [2, 6], ids=["1-batch", "3-batches"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_noise_producer_starts_only_for_one_recon_batch_with_an_idle_core(
-    setup, monkeypatch, started, kind, rows, workers
+def test_noise_producer_starts_only_for_one_large_recon_batch_with_an_idle_core(
+    setup, monkeypatch, started, kind, rows, workers, min_entries
 ):
     schedule, net, _ = setup
     scorer = _scorer(net, schedule, kind)
@@ -314,11 +315,13 @@ def test_noise_producer_starts_only_for_one_recon_batch_with_an_idle_core(
     want_counter = EvalCounter()
     want = _serial(scorer, samples, want_counter)
     monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+    monkeypatch.setattr(pipeline, "_NOISE_THREAD_MIN_ENTRIES", min_entries)
     counter = EvalCounter()
     _assert_same_bits(scorer(samples, counter), want)
     assert counter.count == want_counter.count == NFE_PER_SAMPLE[kind] * rows
     batches = rows // 2
-    producer = kind == RECON and batches == 1 and workers > 1
+    # a one-batch slot holds 2 rows x 32 entries
+    producer = kind == RECON and batches == 1 and workers > 1 and 64 >= min_entries
     assert _count(started, "irfad-noise") == producer
     _assert_scorer_threads(started, workers, batches)
     assert _count(started, "irfad-noise") + _count(started, "irfad-scorer") == len(started)
@@ -451,7 +454,9 @@ class DrawFailed(Exception):
 
 def _paced_draw(monkeypatch, pace):
     """Route each slot's draw on the noise thread through `pace(k)`, called
-    once slot k is drawn and before its task ends; returns the slots drawn."""
+    once slot k is drawn and before its task ends; returns the slots drawn.
+    The tests' 64-entry slots are drawn on the thread, not inline."""
+    monkeypatch.setattr(pipeline, "_NOISE_THREAD_MIN_ENTRIES", 64)
     slots = []
     make_rng = pipeline.make_rng
 

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irfad.data import gen_blobs, save_dataset
 from irfad.errors import ParameterError, ShapeError, TrainingDivergedError
+from irfad.grad import Tape
 from irfad.net import NoisePredictor
 from irfad.rng import make_rng
 from irfad.schedule import linear_schedule
@@ -14,6 +20,7 @@ from irfad.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    COMPUTE_DTYPE,
     AdamState,
     TrainConfig,
     optimizer_step,
@@ -148,13 +155,90 @@ def test_step_on_the_blob_net_allocates_two_slices_only():
     assert peak <= 2 * _CHUNK * 8 + 64 * 1024, peak
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (3 * _CHUNK + 11,), (2, _CHUNK + 7)])
+def test_float32_gradients_step_with_the_bits_of_their_float64_widening(shape):
+    # 1e30 squared is past float32's range: a step that squared or scaled the
+    # float32 gradient before widening it would overflow, and warn
+    rng = np.random.default_rng(7)
+    cfg = TrainConfig(lr=1e-3, weight_decay=1e-4)
+    start = rng.standard_normal(shape)
+    narrow, wide = [start.copy()], [start.copy()]
+    narrow_state, wide_state = AdamState.zeros_like(narrow), AdamState.zeros_like(wide)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for step in range(3):
+            g = rng.standard_normal(shape).astype(np.float32)
+            g.reshape(-1)[:: 97 + step] = np.float32(1e30)
+            g.reshape(-1)[1 :: 89 + step] = np.float32(-3e19)
+            optimizer_step(narrow, [g], narrow_state, cfg)
+            optimizer_step(wide, [g.astype(np.float64)], wide_state, cfg)
+    for got, want in zip(narrow + narrow_state.m + narrow_state.v,
+                         wide + wide_state.m + wide_state.v):
+        assert got.dtype == np.float64
+        assert _bits(got) == _bits(want)
+        assert np.isfinite(got).all()
+
+
+def test_float32_tape_matches_the_float64_tape_on_a_small_net():
+    schedule = linear_schedule(100)
+    net = NoisePredictor.create(6, (16, 12), 4, schedule, seed=3)
+    rng = np.random.default_rng(3)
+    for p in net.params:  # a trained-looking net: no all-zero output layer
+        p += 0.3 * rng.standard_normal(p.shape)
+    features = rng.standard_normal((20, 10))
+    target = rng.standard_normal((20, 6))
+
+    def step(dtype):
+        tape = Tape()
+        pnodes = [tape.leaf(p.astype(dtype), param=True) for p in net.params]
+        pred = net.forward_tape(tape, tape.leaf(features.astype(dtype)), pnodes)
+        loss = tape.mean_squared_error(pred, tape.leaf(target.astype(dtype)))
+        grads = tape.backward(loss)
+        return loss.value, [grads[p.id] for p in pnodes]
+
+    loss64, grads64 = step(np.float64)
+    loss32, grads32 = step(np.float32)
+    assert loss32.dtype == np.float32 and loss64.dtype == np.float64
+    assert abs(float(loss32) - float(loss64)) <= 1e-4 * abs(float(loss64))
+    for g32, g64 in zip(grads32, grads64):
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert np.abs(g32 - g64).max() <= 1e-4 * np.abs(g64).max()
+
+
+def test_tape_leaf_keeps_float32_and_float64_and_widens_the_rest():
+    tape = Tape()
+    assert tape.leaf(np.ones(2, dtype=np.float32)).value.dtype == np.float32
+    assert tape.leaf(np.ones(2)).value.dtype == np.float64
+    for other in (np.ones(2, dtype=np.float16), np.arange(2), [1, 2], 3.0):
+        assert tape.leaf(other).value.dtype == np.float64
+
+
+@pytest.mark.parametrize("where", ["weight", "data"])
+def test_a_value_beyond_float32_range_diverges_without_a_warning(schedule, where):
+    # finite in float64, infinite once cast to the step's float32
+    net = small_net(schedule)
+    data = make_rng(0, "test-train").standard_normal((8, 1))
+    if where == "weight":
+        net.params[2][0, 0] = 1e39
+    else:
+        data[3, 0] = 1e39
+    assert COMPUTE_DTYPE == np.float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError, match="non-finite value entering") as err:
+            train(net, data, schedule, TrainConfig(epochs=2, batch_size=8, seed=0))
+    assert err.value.epoch == 1
+
+
 # -- training loop ------------------------------------------------------------
 
 
 def test_training_holds_one_gradient_set():
-    """The trained copy, both AdamW moments, one gradient set and the tape:
-    about 5.3x the parameter bytes. A step that formed its gradients while
-    the last step's were alive held about 6.3x."""
+    """The trained copy, both AdamW moments, the step's float32 parameter
+    copies, one float32 gradient set and the tape: about 4.9x the float64
+    parameter bytes. With the whole step in float64 it was about 5.3x, and a
+    float64 step that formed its gradients while the last step's were alive
+    held about 6.3x."""
     schedule = linear_schedule(100)
     net = NoisePredictor.create(256, (256, 256, 256), 64, schedule, seed=0)
     data = make_rng(0, "test-train-peak").standard_normal((128, 256))
@@ -246,3 +330,26 @@ def test_bad_optimizer_settings_rejected(bad):
 def test_toy_loss_below_regression_guard(toy_run):
     assert toy_run.log.final_loss < 1.05
     assert all(np.isfinite(v) and v >= 0 for v in toy_run.log.epoch_losses)
+
+
+def test_blob_train_writes_the_same_files_at_one_and_two_blas_threads(tmp_path):
+    # the step's float32 matmuls are large enough for OpenBLAS to split them
+    # across two threads; the split must not change a bit
+    train_split, _ = gen_blobs(128, 2, seed=0)
+    save_dataset(train_split, tmp_path / "train")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data = {tmp_path / 'train'}\nhidden = 256,256,256\n"
+                   "embed_dim = 64\nbatch_size = 64\nepochs = 4\n")
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"run-{threads}"
+        res = subprocess.run(
+            [sys.executable, "-m", "irfad", "train", "--config", str(cfg), "--seed", "0",
+             "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert res.returncode == 0, res.stderr
+        log = (out / "trainlog.csv").read_text().splitlines()
+        runs[threads] = ((out / "checkpoint.bin").read_bytes(),
+                         [line.rsplit(",", 1)[0] for line in log])  # seconds dropped
+    assert runs["1"] == runs["2"]

@@ -36,8 +36,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
+
+from worktree import CheckoutError, checkout
 
 SCORERS = ("irf-mean", "irf-noisy", "recon", "ddim")
 IRF_SCORERS = ("irf-mean", "irf-noisy")
@@ -126,29 +127,16 @@ def main(argv: list[str]) -> int:
         return 2
     rev = argv[0] if argv else "HEAD"
     head = Path(__file__).resolve().parent.parent
-    git = ["git", "-C", str(head)]
-    sha = subprocess.run([*git, "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                         capture_output=True, text=True)
-    if sha.returncode != 0:
-        sys.stderr.write(f"bitcheck: unknown revision {rev!r}\n")
-        return 2
-    sha = sha.stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="irfad-bitcheck-") as tmp:
-        checkout = Path(tmp) / "rev"
-        added = subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(checkout), sha],
-                               capture_output=True, text=True)
-        if added.returncode != 0:
-            detail = (added.stderr.strip().splitlines() or [f"exit {added.returncode}"])[-1]
-            sys.stderr.write(f"bitcheck: cannot check out {rev} ({sha[:12]}): {detail}\n")
-            return 2
-        try:
+    try:
+        with checkout(head, rev, "irfad-bitcheck-") as (sha, rev_tree, tmp):
             print(f"bitcheck: {rev} ({sha[:12]}) against the working tree {head}")
-            run_protocol(checkout, Path(tmp) / "out-rev")
-            run_protocol(head, Path(tmp) / "out-head")
-            report = compare(Path(tmp) / "out-rev", Path(tmp) / "out-head")
-            count = len(_files(Path(tmp) / "out-rev") | _files(Path(tmp) / "out-head"))
-        finally:
-            subprocess.run([*git, "worktree", "remove", "--force", str(checkout)], check=False)
+            run_protocol(rev_tree, tmp / "out-rev")
+            run_protocol(head, tmp / "out-head")
+            report = compare(tmp / "out-rev", tmp / "out-head")
+            count = len(_files(tmp / "out-rev") | _files(tmp / "out-head"))
+    except CheckoutError as exc:
+        sys.stderr.write(f"bitcheck: {exc}\n")
+        return 2
     for line in report:
         print(line)
     differing = sum(not line.startswith("  ") for line in report)
