@@ -5,18 +5,19 @@ uniform on {1..T} and per-sample Gaussian noise, forms the noisy state
 with the closed-form forward marginal, and regresses the network output
 onto the injected noise under mean squared error. The step's forward,
 loss and backward run in COMPUTE_DTYPE (float32) on cast copies of the
-parameters, features and target, while the parameters themselves, the
-float64 master weights that checkpoints store, are only ever updated in
-float64 (mixed-precision training, Micikevicius et al., 2018). Updates
-use AdamW (Loshchilov & Hutter, 2019): bias-corrected first/second
-moments, then decoupled weight decay. The moment decay rates and the
-denominator's epsilon are AdamW's usual defaults, fixed as the constants
-ADAM_BETA1, ADAM_BETA2 and ADAM_EPS; the learning rate and weight decay
-are settable. The update runs in place over L2-sized slices of each
-tensor, through two scratch arrays allocated once per step, with the bits
-of the whole-array float64 formula on the float64-widened gradients. A
-step drops the previous step's gradients before its backward pass, so one
-gradient set is alive at a time.
+parameters, features and target, and so do AdamW's moments and its
+per-element update; only the parameters themselves, the float64 master
+weights that checkpoints store, stay float64 (mixed-precision training,
+Micikevicius et al., 2018). Updates use AdamW (Loshchilov & Hutter, 2019):
+bias-corrected first/second moments, then decoupled weight decay. The
+moment decay rates and the denominator's epsilon are AdamW's usual
+defaults, fixed as the constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS; the
+learning rate and weight decay are settable. The update runs in place over
+L2-sized slices of each tensor, through two float32 scratch arrays
+allocated once per step, with the bits of the whole-array formula. A second
+moment or a step size past float32's range is a NumericError, which
+`train` reports as a diverged run. A step drops the previous step's tape
+and gradients before its casts, so one gradient set is alive at a time.
 
 With a fixed seed the run is bitwise reproducible: all draws come from a
 single counter-based stream in a documented order (per epoch: one
@@ -40,12 +41,12 @@ from .schedule import NoiseSchedule, q_sample
 ADAM_BETA1 = 0.9  # first-moment decay rate
 ADAM_BETA2 = 0.999  # second-moment decay rate
 ADAM_EPS = 1e-8  # added to sqrt(v_hat) in the update's denominator
-# dtype of a training step's forward, loss and backward, so its matmuls run
-# in single precision; the parameters and AdamW's moments stay float64
+# dtype of a training step's forward, loss and backward and of AdamW's
+# moments and update arithmetic; only the master weights stay float64
 COMPUTE_DTYPE = np.float32
-# elements per optimizer slice: the float64 slices of p, m and v and the two
-# float64 scratch arrays take 256 KiB each, the float32 gradient slice 128
-# KiB, and all six fit in a 2 MiB L2
+# elements per optimizer slice: the float64 slice of p takes 256 KiB, the
+# float32 slices of g, m and v and the two float32 scratch arrays 128 KiB
+# each, and all six fit in a 2 MiB L2
 _CHUNK = 2**15
 
 
@@ -92,8 +93,8 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        return cls(m=[np.zeros_like(p, dtype=COMPUTE_DTYPE) for p in params],
+                   v=[np.zeros_like(p, dtype=COMPUTE_DTYPE) for p in params])
 
 
 def _slices(shape: tuple[int, ...]):
@@ -124,12 +125,16 @@ def optimizer_step(
 
     Each tensor is swept in views of at most _CHUNK elements, so the slices
     of p, g, m and v and the two scratch arrays stay in one core's L2 cache
-    through all of a slice's passes. Each gradient slice is first widened
-    into a float64 scratch array, so a float32 gradient is never squared or
-    scaled in float32; then every element gets the float64 IEEE operations
-    of the whole-array formula, in its order:
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps)), then p -= (lr*wd) * p.
+    through all of a slice's passes. The moments and the update are float32
+    (COMPUTE_DTYPE): a float32 gradient is used as it is, and a float64 one
+    is first rounded into a float32 scratch slice. Every element gets the
+    IEEE operations of the whole-array formula, in its order:
+    m = b1*m + g*(1-b1), v = b2*v + (g*g)*(1-b2),
+    a = (m*(lr/bc1)) / (sqrt(v)*(1/sqrt(bc2)) + eps) in float32, then the
+    float64 master weights take p *= 1 - lr*wd and p -= a.
+    A second moment that is not finite in float32 (a gradient whose square
+    overflows, an infinite or NaN gradient) and an lr/bc1 past float32's
+    range raise NumericError, without a RuntimeWarning.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params/grads/state length mismatch")
@@ -139,31 +144,41 @@ def optimizer_step(
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    decay = cfg.lr * cfg.weight_decay
+    denom_scale = 1.0 / math.sqrt(bc2)
+    keep = 1.0 - cfg.lr * cfg.weight_decay
     size = min(_CHUNK, max((p.size for p in params), default=0))
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        for index in _slices(p.shape):
-            ps, gs, ms, vs = p[index], g[index], m[index], v[index]
-            a = scratch_a[: ps.size].reshape(ps.shape)
-            b = scratch_b[: ps.size].reshape(ps.shape)
-            np.copyto(b, gs)  # g in float64, until v has taken g*g
-            ms *= ADAM_BETA1
-            np.multiply(b, 1.0 - ADAM_BETA1, out=a)
-            ms += a
-            vs *= ADAM_BETA2
-            np.multiply(b, b, out=a)
-            a *= 1.0 - ADAM_BETA2
-            vs += a
-            np.divide(ms, bc1, out=a)
-            np.divide(vs, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
-            a *= cfg.lr
-            ps -= a
-            np.multiply(ps, decay, out=a)
-            ps -= a
+    scratch_a = np.empty(size, dtype=COMPUTE_DTYPE)
+    scratch_b = np.empty(size, dtype=COMPUTE_DTYPE)
+    # an overflowing cast or square is refused as a non-finite step size or
+    # v below, with no RuntimeWarning ahead of the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_size = COMPUTE_DTYPE(cfg.lr / bc1)
+        if not np.isfinite(step_size):
+            raise NumericError(f"step size lr/bc1 = {cfg.lr / bc1:g} is past float32's range")
+        for p, g, m, v in zip(params, grads, state.m, state.v):
+            for index in _slices(p.shape):
+                ps, gs, ms, vs = p[index], g[index], m[index], v[index]
+                a = scratch_a[: ps.size].reshape(ps.shape)
+                b = scratch_b[: ps.size].reshape(ps.shape)
+                if gs.dtype != COMPUTE_DTYPE:
+                    np.copyto(b, gs)  # g rounded to float32, until v has taken g*g
+                    gs = b
+                ms *= ADAM_BETA1
+                np.multiply(gs, 1.0 - ADAM_BETA1, out=a)
+                ms += a
+                vs *= ADAM_BETA2
+                np.multiply(gs, gs, out=a)
+                a *= 1.0 - ADAM_BETA2
+                vs += a
+                if not np.isfinite(vs.max(initial=0.0)):  # NaN is not finite either
+                    raise NumericError("AdamW second moment is past float32's range")
+                np.sqrt(vs, out=a)
+                a *= denom_scale
+                a += ADAM_EPS
+                np.multiply(ms, step_size, out=b)
+                np.divide(b, a, out=a)
+                ps *= keep
+                ps -= a
     return params, state
 
 
@@ -207,10 +222,13 @@ def train(
             eps = rng.standard_normal(xb.shape)
             xt = q_sample(schedule, xb, t, eps)
 
+            # the last step's tape, activations and gradients go before this
+            # step's casts, so one step's worth is alive at a time
+            tape = pnodes = pred = loss = grads = features = None
             try:
                 # an overflowing cast is refused by Tape.leaf as non-finite,
                 # and an overflow inside the step surfaces as a non-finite
-                # loss, handled right below
+                # loss, refused right below
                 with np.errstate(over="ignore", invalid="ignore"):
                     features = np.concatenate([xt, embed_table[t - 1]], axis=1,
                                               dtype=COMPUTE_DTYPE)
@@ -219,14 +237,13 @@ def train(
                               for p in net.params]
                     pred = net.forward_tape(tape, tape.leaf(features), pnodes)
                     loss = tape.mean_squared_error(pred, tape.leaf(eps.astype(COMPUTE_DTYPE)))
-                    grads = None  # the last step's gradients go before this step's are formed
                     grads = tape.backward(loss)
+                loss_value = float(loss.value)
+                if not np.isfinite(loss_value):
+                    raise NumericError(f"loss={loss_value}")
+                optimizer_step(net.params, [grads[p.id] for p in pnodes], state, cfg)
             except NumericError as exc:
                 raise TrainingDivergedError(epoch, str(exc)) from exc
-            loss_value = float(loss.value)
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(epoch, f"loss={loss_value}")
-            optimizer_step(net.params, [grads[p.id] for p in pnodes], state, cfg)
             loss_sum += loss_value * idx.size
         log.epoch_losses.append(loss_sum / n)
         log.epoch_seconds.append(time.perf_counter() - tic)

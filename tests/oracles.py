@@ -10,7 +10,7 @@ avoids the library's current code paths.
 
 import csv
 import io
-from math import fsum
+from math import fsum, sqrt
 
 import numpy as np
 
@@ -321,18 +321,20 @@ def trainlog_csv_rows(losses, seconds) -> bytes:
 
 
 def adamw_whole_array(params, grads, m, v, step, lr, weight_decay, beta1, beta2, eps):
-    """One AdamW update at 1-based `step`, in place on params, m and v."""
+    """One AdamW update at 1-based `step`, in place on float64 params and
+    float32 m and v: the gradient rounded to float32, the moments and the
+    update in float32, then the decay and the update applied in float64."""
     bc1 = 1.0 - beta1 ** step
     bc2 = 1.0 - beta2 ** step
     for p, g, mi, vi in zip(params, grads, m, v):
+        g = np.asarray(g).astype(np.float32)
         mi *= beta1
-        mi += (1.0 - beta1) * g
+        mi += g * (1.0 - beta1)
         vi *= beta2
-        vi += (1.0 - beta2) * (g * g)
-        m_hat = mi / bc1
-        v_hat = vi / bc2
-        p -= lr * (m_hat / (np.sqrt(v_hat) + eps))
-        p -= lr * weight_decay * p
+        vi += (g * g) * (1.0 - beta2)
+        update = (mi * np.float32(lr / bc1)) / (np.sqrt(vi) * (1.0 / sqrt(bc2)) + eps)
+        p *= 1.0 - lr * weight_decay
+        p -= update
 
 
 # -- Gaussian data -------------------------------------------------------------

@@ -745,6 +745,26 @@ def test_training_divergence_exits_4(tmp_path):
     assert res.stderr.strip().startswith("irfad: error: numeric:")
 
 
+def test_a_gradient_square_past_float32_range_exits_4_with_one_line(tmp_path):
+    # samples of about 1e20 are finite in float32, but the output layer's
+    # gradient squared is not, so AdamW's float32 second moment refuses it
+    train, _ = gen_toy(1)
+    big = Dataset(
+        samples=train.samples[:16] * 1e20, labels=train.labels[:16], masks=None, role="train"
+    )
+    save_dataset(big, tmp_path / "ds")
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        data=str(tmp_path / "ds"), epochs=3, batch_size=8, hidden="8,8", embed_dim=4,
+    )
+    res = run_cli("train", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 4
+    assert res.stderr.splitlines() == [
+        "irfad: error: numeric: training diverged at epoch 1: "
+        "AdamW second moment is past float32's range"
+    ]
+
+
 def test_non_finite_learning_rate_exits_2(tmp_path):
     train, _ = gen_toy(1)
     small = Dataset(
