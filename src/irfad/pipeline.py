@@ -14,20 +14,21 @@ BLAS's own threads; the others are the threads of one executor
 are independent and NumPy and BLAS release the GIL, so the threads share
 the cores without a change to any output bit or evaluation count.
 
-Both stochastic scorers draw their noise per batch, in batch order, as a
-thread takes the batch, so the bits are those of one thread scoring the
-batches in order. One case differs: a reconstruction call with one batch,
-more than one worker and slots of at least `_NOISE_THREAD_MIN_ENTRIES`
-entries runs its chain on the calling thread alone, so a one-thread
-executor (`irfad-noise`) draws the chain's slots on the idle core, in
-draw order, while the chain reads them. It draws at most
-`_NOISE_AHEAD` slots beyond the one the chain holds (`_ahead`), into that
-many arrays plus one, which the slots take in turn, so the call holds
-those arrays, not all `recon_steps` slots.
+Each batch has its own noise, so which thread scores it changes no bit.
+irf-noisy draws its whole noise table once, before the batches, from
+(seed, "score-noisy"), and a batch reads its own rows. Reconstruction batch
+k draws from its own stream (seed, "score-recon/k"), one slot at a time as
+the chain asks for it, into one array that the slots take in turn. A
+reconstruction call with one batch, more than one worker and slots of at
+least `_NOISE_THREAD_MIN_ENTRIES` entries runs its chain on the calling
+thread alone, so a one-thread executor (`irfad-noise`) draws the chain's
+slots on the idle core, in draw order, while the chain reads them. It
+draws at most `_NOISE_AHEAD` slots beyond the one the chain holds
+(`_ahead`), into that many arrays plus one, which the slots take in turn.
 Leaving a call, by its end, a failure or an interrupt, cancels every task
 not yet started and joins every thread it started (`_threads`). Each call
-re-derives its noise stream from (seed, pass label), so a pass is
-deterministic for a given configuration.
+re-derives its noise from (seed, label), so a pass is deterministic for a
+given configuration.
 
 Every call refuses non-finite scores with a NumericError before it
 returns, so no caller writes them.
@@ -222,20 +223,20 @@ class Scorer:
         for start in range(0, n, self.batch_size):
             yield start, min(start + self.batch_size, n)
 
-    def _run_batches(self, n: int, score, counter, draw=None) -> None:
-        """Call `score(start, stop, noise, own_counter)` once per batch of n
-        rows, on min(workers, batches) threads, the caller's among them.
+    def _run_batches(self, n: int, score, counter) -> None:
+        """Call `score(start, stop, own_counter)` once per batch of n rows, on
+        min(workers, batches) threads, the caller's among them.
 
-        Threads take their next batch from one lock-guarded iterator and draw
-        its `noise = draw(start, stop)` (None without `draw`) under that lock,
-        so a random stream is consumed in batch order whichever thread takes
-        the batch, and the noise is allocated by the thread that reads it. Each
-        thread counts on its own EvalCounter, so the one-evaluation check in
-        `irf` sees its own batch only; after the join `counter` gains the sum
-        by `count +=`, since each evaluation has passed through `add`
-        once. Started threads compute under the caller's floating-point error
-        handling. The first failure stops the other threads from taking
-        batches and is re-raised once every thread has been joined.
+        Threads take their next batch from one lock-guarded iterator. A
+        batch's noise is its own (a row range of one table, or a stream
+        labelled by the batch's index), so which thread takes which batch
+        changes no bit. Each thread counts on its own EvalCounter, so the
+        one-evaluation check in `irf` sees its own batch only; after the join
+        `counter` gains the sum by `count +=`, since each evaluation has
+        passed through `add` once. Started threads compute under the caller's
+        floating-point error handling. The first failure stops the other
+        threads from taking batches and is re-raised once every thread has
+        been joined.
         """
         spans = self._batches(n)
         batches = -(-n // self.batch_size)
@@ -249,11 +250,9 @@ class Scorer:
                 while not errors:
                     with lock:
                         span = next(spans, None)
-                        if span is None:
-                            return
-                        noise = draw(*span) if draw is not None else None
-                    score(*span, noise, own)
-                    del noise  # at most one batch of noise per thread
+                    if span is None:
+                        return
+                    score(*span, own)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -278,24 +277,20 @@ class Scorer:
             counter.count += sum(own.count for own in counters)
 
     def _score_irf(self, fields, counter) -> ScoreTable:
-        draw = None
-        if self.kind == IRF_NOISY:
-            rng = make_rng(self.noise_seed, "score-noisy")
-
-            def draw(start, stop):  # the rows in C order, as one draw for the table
-                return rng.standard_normal((stop - start,) + fields.shape[1:])
-
+        eps = None
+        if self.kind == IRF_NOISY:  # one draw for the table; a batch reads its rows
+            eps = make_rng(self.noise_seed, "score-noisy").standard_normal(fields.shape)
         deltas = np.empty(fields.shape)
 
-        def score(start, stop, eps, own):
+        def score(start, stop, own):
             x0 = fields[start:stop]
             if eps is None:
                 res = irf_mean(self.net, self.schedule, x0, self.t_infer, own)
             else:
-                res = irf_noisy(self.net, self.schedule, x0, self.t_infer, eps, own)
+                res = irf_noisy(self.net, self.schedule, x0, self.t_infer, eps[start:stop], own)
             deltas[start:stop] = res.delta
 
-        self._run_batches(len(fields), score, counter, draw)
+        self._run_batches(len(fields), score, counter)
         s_diff, s_nll = image_scores(deltas)
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
 
@@ -304,7 +299,7 @@ class Scorer:
         scores = np.empty(n)
         if self.kind == DDIM:
 
-            def score(start, stop, noise, own):
+            def score(start, stop, own):
                 scores[start:stop] = baselines.ddim_invert_batch(
                     self.net, self.schedule, X[start:stop], self.ddim_steps, own
                 )
@@ -312,25 +307,20 @@ class Scorer:
             self._run_batches(n, score, counter)
             return ScoreTable(s=scores)
 
-        rng = make_rng(self.noise_seed, "score-recon")
+        def score(start, stop, own):
+            rng = make_rng(self.noise_seed, f"score-recon/{start // self.batch_size}")
 
-        def fill(slot):
-            return rng.standard_normal(out=slot)
+            def fill(slot):
+                return rng.standard_normal(out=slot)
 
-        def draw(start, stop):
-            if pool is None:
-                # one array per slot: with one (steps, rows, d) block the blob
-                # benchmark's peak RSS read 1-9 MiB above separate arrays'
-                slots = (np.empty((stop - start, d)) for _ in range(self.recon_steps))
-                return list(map(fill, slots))
             # the chain is done with a slot when it asks for the next, so the
-            # look-ahead's slots take turns in _NOISE_AHEAD + 1 arrays: fresh
-            # arrays per slot read 2-3 % slower on the blob recon pass (2-core box)
-            ring = [np.empty((stop - start, d)) for _ in range(_NOISE_AHEAD + 1)]
+            # slots take turns in one array, or in the look-ahead's arrays plus
+            # one: fresh arrays per slot read 2-3 % slower on the blob recon
+            # pass (2-core box)
+            ring = [np.empty((stop - start, d))
+                    for _ in range(1 if pool is None else _NOISE_AHEAD + 1)]
             slots = (ring[k % len(ring)] for k in range(self.recon_steps))
-            return _ahead(pool, fill, slots, _NOISE_AHEAD)
-
-        def score(start, stop, noise, own):
+            noise = map(fill, slots) if pool is None else _ahead(pool, fill, slots, _NOISE_AHEAD)
             scores[start:stop] = baselines.reconstruct_batch(
                 self.net, self.schedule, X[start:stop], self.recon_t_start, self.recon_steps,
                 noise, own)
@@ -341,7 +331,7 @@ class Scorer:
         alongside = (n <= self.batch_size and n * d >= _NOISE_THREAD_MIN_ENTRIES
                      and _workers() > 1)
         with _threads(1, "irfad-noise") if alongside else contextlib.nullcontext() as pool:
-            self._run_batches(n, score, counter, draw)
+            self._run_batches(n, score, counter)
         return ScoreTable(s=scores)
 
 

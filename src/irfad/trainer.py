@@ -133,8 +133,10 @@ def optimizer_step(
     a = (m*(lr/bc1)) / (sqrt(v)*(1/sqrt(bc2)) + eps) in float32, then the
     float64 master weights take p *= 1 - lr*wd and p -= a.
     A second moment that is not finite in float32 (a gradient whose square
-    overflows, an infinite or NaN gradient) and an lr/bc1 past float32's
-    range raise NumericError, without a RuntimeWarning.
+    overflows, an infinite or NaN gradient), an lr/bc1 past float32's range
+    and an update `a` that is not finite in float32 (a finite but huge step
+    size) raise NumericError, without a RuntimeWarning, before the slice's
+    weights change.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params/grads/state length mismatch")
@@ -149,8 +151,8 @@ def optimizer_step(
     size = min(_CHUNK, max((p.size for p in params), default=0))
     scratch_a = np.empty(size, dtype=COMPUTE_DTYPE)
     scratch_b = np.empty(size, dtype=COMPUTE_DTYPE)
-    # an overflowing cast or square is refused as a non-finite step size or
-    # v below, with no RuntimeWarning ahead of the error
+    # an overflowing cast, square or product is refused as a non-finite step
+    # size, v or update below, with no RuntimeWarning ahead of the error
     with np.errstate(over="ignore", invalid="ignore"):
         step_size = COMPUTE_DTYPE(cfg.lr / bc1)
         if not np.isfinite(step_size):
@@ -177,6 +179,8 @@ def optimizer_step(
                 a += ADAM_EPS
                 np.multiply(ms, step_size, out=b)
                 np.divide(b, a, out=a)
+                if not (np.isfinite(a.max(initial=0.0)) and np.isfinite(a.min(initial=0.0))):
+                    raise NumericError("AdamW update is past float32's range")
                 ps *= keep
                 ps -= a
     return params, state

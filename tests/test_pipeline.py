@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 
@@ -212,8 +213,9 @@ def _scorer(net, schedule, kind):
 
 
 def _serial(scorer, samples, counter):
-    """The reference: one batch after another on this thread, recon noise
-    drawn batch by batch."""
+    """The reference: one batch after another on this thread, irf-noisy
+    noise drawn for the table at once, and recon batch k's noise from its
+    own stream, "score-recon/k"."""
     n = len(samples)
     if scorer.kind in (IRF_MEAN, IRF_NOISY):
         if scorer.kind == IRF_NOISY:
@@ -231,9 +233,9 @@ def _serial(scorer, samples, counter):
         return ScoreTable(s=s_diff + s_nll, s_diff=s_diff, s_nll=s_nll, deltas=deltas)
     X = samples.reshape(n, -1)
     s = np.empty(n)
-    rng = make_rng(scorer.noise_seed, "score-recon")
-    for start, stop in scorer._batches(n):
+    for k, (start, stop) in enumerate(scorer._batches(n)):
         if scorer.kind == RECON:
+            rng = make_rng(scorer.noise_seed, f"score-recon/{k}")
             noise = rng.standard_normal((scorer.recon_steps, stop - start, X.shape[1]))
             s[start:stop] = reconstruct_batch(scorer.net, scorer.schedule, X[start:stop],
                                               scorer.recon_t_start, scorer.recon_steps,
@@ -623,3 +625,26 @@ def test_one_batch_recon_draws_its_noise_a_bounded_number_of_slots_ahead(
     assert len(at_evaluation) == 8
     assert at_evaluation[0] <= pipeline._NOISE_AHEAD, at_evaluation
     assert max(ahead) <= pipeline._NOISE_AHEAD, ahead
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_multi_batch_recon_call_holds_a_few_noise_slots_per_worker(monkeypatch, workers):
+    """Each worker draws its batch's slots one at a time into one array, so
+    a 50-step call on two batches of wide rows holds a few (rows, d) arrays
+    per worker, not its batch's 50 slots."""
+    schedule = linear_schedule(100)
+    net = NoisePredictor.create(256, (16,), 8, schedule, seed=2)
+    samples = make_rng(7, "test-pipeline-wide").standard_normal((512, 256))
+    scorer = Scorer(RECON, net, schedule, t_infer=10, batch_size=256, noise_seed=4,
+                    recon_t_start=50, recon_steps=50)
+    monkeypatch.setattr(pipeline, "_workers", lambda: workers)
+    scorer(samples[:300])  # warm up
+    tracemalloc.start()
+    try:
+        scorer(samples, EvalCounter())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slot = 256 * 256 * 8
+    # the slot, the chain's state and its step temporaries, per worker
+    assert peak <= workers * 8 * slot, peak / slot

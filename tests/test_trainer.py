@@ -211,6 +211,17 @@ def test_a_step_size_past_float32_range_is_refused_before_any_update():
     assert not state.m[0].any() and not state.v[0].any()
 
 
+def test_an_update_past_float32_range_is_refused_before_the_weights_change():
+    # lr/bc1 = 1e26 is inside float32's range, but m * (lr/bc1) is not
+    params = [np.ones(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="update"):
+            optimizer_step(params, [np.array([1e18, 1.0, -1.0])],
+                           AdamState.zeros_like(params), TrainConfig(lr=1e25))
+    assert np.array_equal(params[0], np.ones(3))
+
+
 def test_train_refuses_a_gradient_whose_square_leaves_float32_range(schedule):
     # the output layer starts at zero, so the net predicts its bias: with the
     # last hidden bias and the output bias at 1e15, the loss is about 1e30,

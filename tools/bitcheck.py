@@ -17,10 +17,12 @@ relative paths, so that manifests name the same paths:
 4. `eval` from the net with each scorer, and `eval` from each scorer's
    `scores.csv`;
 5. `score` and `eval` from the net with irf-noisy and recon at
-   `infer_batch = 32`, four batches of the 128-row split, so the noise
-   drawn whole per batch is checked beside the one-batch calls of steps 3
-   and 4 (where a recon call with a core to spare draws its noise on a
-   second thread, a few slots ahead of the chain).
+   `infer_batch = 32`, four batches of the 128-row split, so the rows each
+   batch reads from irf-noisy's one noise table, and each recon batch's own
+   stream (`score-recon/k`, drawn inline as the chain asks), are checked
+   beside the one-batch calls of steps 3 and 4 (where a recon call with a
+   core to spare draws its noise on a second thread, a few slots ahead of
+   the chain).
 
 Then every file the two runs wrote is compared byte for byte. Only the
 `seconds` column of `trainlog.csv` is masked. Each differing file is
